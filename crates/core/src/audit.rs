@@ -49,7 +49,7 @@ use rankfair_data::{Dataset, TupleId, ValueCode};
 use rankfair_rank::{Ranker, Ranking};
 
 use crate::bounds::{BiasMeasure, Bounds};
-use crate::engine;
+use crate::engine::{self, Lower, LowerSets};
 use crate::oracle;
 use crate::pattern::Pattern;
 use crate::report::{summarize_audit, KReport};
@@ -59,7 +59,9 @@ use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
 use crate::topdown;
-use crate::upper_engine::{self, UpperStream};
+use crate::tree::{self, Store, Stream};
+use crate::upper_engine::{self, Upper};
+use crate::util::FxHashSet;
 
 /// Typed error for audit construction and execution, replacing the
 /// `SpaceError`-or-`String` mix of the old facade.
@@ -177,6 +179,22 @@ pub enum AuditTask {
         /// The upper bound `U_k`.
         upper: Bounds,
     },
+}
+
+impl AuditTask {
+    /// The task's per-direction specs: the under side's measure and the
+    /// over side's bound and scope. Combined is the global lower bound
+    /// with the most specific over-represented groups.
+    fn sides(&self) -> (Option<BiasMeasure>, Option<(Bounds, OverRepScope)>) {
+        match self {
+            AuditTask::UnderRep(measure) => (Some(measure.clone()), None),
+            AuditTask::OverRep { upper, scope } => (None, Some((upper.clone(), *scope))),
+            AuditTask::Combined { lower, upper } => (
+                Some(BiasMeasure::GlobalLower(lower.clone())),
+                Some((upper.clone(), OverRepScope::MostSpecific)),
+            ),
+        }
+    }
 }
 
 /// Result set of one `k` under an [`AuditTask`].
@@ -665,8 +683,8 @@ pub(crate) struct AuditParts<'a, I: CountsProvider> {
 }
 
 /// The persistent engine state a [`crate::MonitorAudit`] carries between
-/// delta re-audits: per-direction stores (the shared node arena plus
-/// counts-only engine snapshots every `cadence` values of `k`, grid
+/// delta re-audits: per-direction [`Store`]s (the shared node arena plus
+/// counts-only tree snapshots every `cadence` values of `k`, grid
 /// `k ≡ k_min (mod cadence)`) and the replay work counters. The monitor
 /// invalidates entries that an edit batch made stale — the changed-`k`
 /// segments for a pure reorder, everything (arena included) for an
@@ -676,12 +694,12 @@ pub(crate) struct AuditParts<'a, I: CountsProvider> {
 pub(crate) struct EngineCheckpoints {
     /// Grid spacing `C`: one snapshot every `C` values of `k`.
     pub(crate) cadence: usize,
-    /// Lower-engine arena + snapshots (UnderRep and the lower half of
+    /// Lower-policy arena + snapshots (UnderRep and the lower half of
     /// Combined).
-    pub(crate) lower: engine::LowerStore,
-    /// Upper-engine arena + snapshots (OverRep and the upper half of
+    pub(crate) lower: Store<LowerSets>,
+    /// Upper-policy arena + snapshots (OverRep and the upper half of
     /// Combined).
-    pub(crate) upper: upper_engine::UpperStore,
+    pub(crate) upper: Store<FxHashSet<u32>>,
     /// Seek/build/replay counters accumulated over the monitor's life.
     pub(crate) counters: ReplayCounters,
     /// Checkpoints dropped by edit invalidation so far.
@@ -692,8 +710,8 @@ impl EngineCheckpoints {
     pub(crate) fn new(cadence: usize) -> Self {
         EngineCheckpoints {
             cadence: cadence.max(1),
-            lower: engine::LowerStore::default(),
-            upper: upper_engine::UpperStore::default(),
+            lower: Store::default(),
+            upper: Store::default(),
             counters: ReplayCounters::default(),
             invalidated: 0,
         }
@@ -703,11 +721,7 @@ impl EngineCheckpoints {
     /// and `s_D`, which every interned node's pruned verdict and every
     /// snapshot's classification depend on.
     pub(crate) fn invalidate_all(&mut self) {
-        self.invalidated += (self.lower.snaps.len() + self.upper.snaps.len()) as u64;
-        self.lower.snaps.clear();
-        self.lower.arena.clear();
-        self.upper.snaps.clear();
-        self.upper.arena.clear();
+        self.invalidated += (self.lower.clear() + self.upper.clear()) as u64;
     }
 
     /// Live checkpoints per direction.
@@ -734,51 +748,46 @@ impl EngineCheckpoints {
     /// Nodes interned across both arenas (the steady-state memory
     /// driver; checkpoints only add counts-vector slots on top).
     pub(crate) fn arena_nodes(&self) -> usize {
-        self.lower.arena.len() + self.upper.arena.len()
+        self.lower.arena.nodes.len() + self.upper.arena.nodes.len()
     }
 }
 
-/// Shared checkpoint-grid maintenance for both engines' snapshot stores
-/// (one definition so the heal/prune policy cannot drift between them).
-/// Writes a snapshot at `k` when it sits on the grid
-/// (`k ≡ k_min (mod cadence)`): reorder replays pass a `heal_cutoff` so
-/// only the snapshots near the span start — where the next seek lands —
-/// are (re)written, and deeper stale ones are dropped instead of
-/// recloned; full builds (no cutoff) lay the whole grid. Returns whether
-/// a snapshot was written (inserted or overwritten) at `k` — segmented
-/// replays track written grid `k`s so a later segment of the same call
-/// never re-repairs state that already holds the new order.
-pub(crate) fn maintain_grid_snapshot<T>(
-    store: &mut Vec<T>,
-    k: usize,
-    k_min: usize,
-    cadence: usize,
-    heal_cutoff: Option<usize>,
-    key: impl FnMut(&T) -> usize,
-    snapshot: impl FnOnce() -> T,
-) -> bool {
-    if k < k_min || !(k - k_min).is_multiple_of(cadence) {
-        return false;
-    }
-    match store.binary_search_by_key(&k, key) {
-        Ok(i) => match heal_cutoff {
-            Some(cut) if k > cut => {
-                store.remove(i);
-                false
-            }
-            _ => {
-                store[i] = snapshot();
-                true
-            }
-        },
-        Err(i) => {
-            if heal_cutoff.is_none_or(|cut| k <= cut) {
-                store.insert(i, snapshot());
-                true
-            } else {
-                false
-            }
+/// Zips per-direction outputs into one outcome; an over side behind an
+/// under side covers a prefix of its `k` values.
+fn join_sides(under: Option<DetectionOutput>, over: Option<DetectionOutput>) -> AuditOutcome {
+    let row = |k, under, over| AuditKResult { k, under, over };
+    let (mut per_k, mut stats) = match under {
+        Some(low) => {
+            let rows = low
+                .per_k
+                .into_iter()
+                .map(|kr| row(kr.k, kr.patterns, Vec::new()));
+            (Some(rows.collect::<Vec<_>>()), low.stats)
         }
+        None => (None, SearchStats::default()),
+    };
+    if let Some(high) = over {
+        // The two directions ran back to back: report their total, not
+        // the max `merge` takes for parallel workers.
+        let elapsed = stats.elapsed + high.stats.elapsed;
+        stats.merge(&high.stats);
+        stats.elapsed = elapsed;
+        per_k = Some(match per_k {
+            Some(rows) => rows
+                .into_iter()
+                .zip(high.per_k)
+                .map(|(r, h)| row(r.k, r.under, h.patterns))
+                .collect(),
+            None => high
+                .per_k
+                .into_iter()
+                .map(|kr| row(kr.k, Vec::new(), kr.patterns))
+                .collect(),
+        });
+    }
+    AuditOutcome {
+        per_k: per_k.unwrap_or_default(),
+        stats,
     }
 }
 
@@ -844,73 +853,24 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         task: &AuditTask,
         engine: Engine,
     ) -> AuditOutcome {
-        match task {
-            AuditTask::UnderRep(measure) => {
-                let out = self.run_under(cfg, measure, engine);
-                AuditOutcome {
-                    per_k: out
-                        .per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: kr.patterns,
-                            over: Vec::new(),
-                        })
-                        .collect(),
-                    stats: out.stats,
-                }
-            }
-            AuditTask::OverRep { upper, scope } => {
-                let (per_k, stats) = self.run_over(cfg, upper, *scope, engine);
-                AuditOutcome {
-                    per_k: per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: Vec::new(),
-                            over: kr.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-            AuditTask::Combined { lower, upper } => {
-                let low = self.run_under(cfg, &BiasMeasure::GlobalLower(lower.clone()), engine);
-                // Only compute the over side for the k values the (possibly
-                // deadline-truncated) under side produced — no work whose
-                // results would be discarded by the zip below — and give it
-                // the *remaining* wall-clock budget, not a fresh one.
-                let (high, over_stats) = match low.per_k.last() {
-                    Some(last) => {
-                        let over_cfg = DetectConfig {
-                            k_max: last.k,
-                            deadline: cfg.deadline.map(|d| d.saturating_sub(low.stats.elapsed)),
-                            ..cfg.clone()
-                        };
-                        self.run_over(&over_cfg, upper, OverRepScope::MostSpecific, engine)
-                    }
-                    None => (Vec::new(), SearchStats::default()),
-                };
-                let mut stats = low.stats.clone();
-                stats.merge(&over_stats);
-                // The two phases ran back to back: report their total, not
-                // the max merge_stats uses for parallel workers.
-                stats.elapsed = low.stats.elapsed + over_stats.elapsed;
-                AuditOutcome {
-                    per_k: low
-                        .per_k
-                        .into_iter()
-                        .zip(high)
-                        .map(|(l, h)| AuditKResult {
-                            k: l.k,
-                            under: l.patterns,
-                            over: h.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-        }
+        let (under, over) = task.sides();
+        let low = under.map(|measure| self.run_under(cfg, &measure, engine));
+        let high = over.and_then(|(upper, scope)| {
+            // Behind an under side, only compute the k values the
+            // (possibly deadline-truncated) under side produced — no work
+            // whose results the zip would discard — and on the *remaining*
+            // wall-clock budget, not a fresh one.
+            let over_cfg = match &low {
+                Some(low) => DetectConfig {
+                    k_max: low.per_k.last()?.k,
+                    deadline: cfg.deadline.map(|d| d.saturating_sub(low.stats.elapsed)),
+                    ..cfg.clone()
+                },
+                None => cfg.clone(),
+            };
+            Some(self.run_over(&over_cfg, &upper, scope, engine))
+        });
+        join_sides(low, high)
     }
 
     /// Checkpointed execution over the disjoint ascending `k` segments
@@ -918,14 +878,14 @@ impl<I: CountsProvider> AuditParts<'_, I> {
     /// [`crate::MonitorAudit`]'s delta path with `Engine::Optimized`.
     ///
     /// Functionally identical to [`AuditParts::run_range`] over the same
-    /// `k` values (both directions drive the same engine step code; the
-    /// differential sweeps assert equality), but it seeks into `ckpts`'s
-    /// stored snapshots instead of building the engines from scratch at
-    /// each segment's first `k`, repairing the seek checkpoint against
-    /// `reorder` when an edit swallowed it, and refreshes snapshots as it
-    /// replays. Deadlines are unsupported (monitors reject them at
-    /// construction): a truncated replay would leave the checkpoint store
-    /// inconsistent with the cached results.
+    /// `k` values (both drive the same tree step code; the differential
+    /// sweeps assert equality), but it seeks into `ckpts`'s stored
+    /// snapshots instead of building from scratch at each segment's first
+    /// `k`, repairing the seek checkpoint against `reorder` when an edit
+    /// swallowed it, and refreshes snapshots as it replays. Deadlines are
+    /// unsupported (monitors reject them at construction): a truncated
+    /// replay would leave the checkpoint store inconsistent with the
+    /// cached results.
     pub(crate) fn run_range_checkpointed(
         &self,
         cfg: &DetectConfig,
@@ -935,87 +895,38 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         reorder: Option<&ReorderSpec>,
     ) -> AuditOutcome {
         debug_assert!(cfg.deadline.is_none(), "checkpointed runs take no deadline");
-        let cadence = ckpts.cadence;
-        let lower_side = |measure: &BiasMeasure, ckpts: &mut EngineCheckpoints| {
-            engine::lower_replay(
-                self.index,
-                self.space,
-                measure,
+        let (under, over) = task.sides();
+        let reorder = reorder.map(|r| (r, self.ranking.order()));
+        let (index, space, cadence) = (self.index, self.space, ckpts.cadence);
+        let low = under.map(|measure| {
+            let lower = Lower::new(measure, cfg.k_max, true);
+            tree::replay(
+                index,
+                space,
                 cfg,
+                lower,
                 spans,
-                reorder.map(|r| (r, self.ranking.order())),
+                reorder,
                 &mut ckpts.lower,
                 cadence,
                 &mut ckpts.counters,
             )
-        };
-        let upper_side = |upper: &Bounds, scope: OverRepScope, ckpts: &mut EngineCheckpoints| {
-            upper_engine::upper_replay(
-                self.index,
-                self.space,
+        });
+        let high = over.map(|(upper, scope)| {
+            let upper = Upper::new(upper, scope);
+            tree::replay(
+                index,
+                space,
                 cfg,
                 upper,
-                scope,
                 spans,
-                reorder.map(|r| (r, self.ranking.order())),
+                reorder,
                 &mut ckpts.upper,
                 cadence,
                 &mut ckpts.counters,
             )
-        };
-        match task {
-            AuditTask::UnderRep(measure) => {
-                let out = lower_side(measure, ckpts);
-                AuditOutcome {
-                    per_k: out
-                        .per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: kr.patterns,
-                            over: Vec::new(),
-                        })
-                        .collect(),
-                    stats: out.stats,
-                }
-            }
-            AuditTask::OverRep { upper, scope } => {
-                let (per_k, stats) = upper_side(upper, *scope, ckpts);
-                AuditOutcome {
-                    per_k: per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: Vec::new(),
-                            over: kr.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-            AuditTask::Combined { lower, upper } => {
-                let low = lower_side(&BiasMeasure::GlobalLower(lower.clone()), ckpts);
-                let (high, over_stats) = upper_side(upper, OverRepScope::MostSpecific, ckpts);
-                let mut stats = low.stats.clone();
-                stats.merge(&over_stats);
-                // Sequential phases: wall clocks add (merge takes the max
-                // for parallel workers).
-                stats.elapsed = low.stats.elapsed + over_stats.elapsed;
-                AuditOutcome {
-                    per_k: low
-                        .per_k
-                        .into_iter()
-                        .zip(high)
-                        .map(|(l, h)| AuditKResult {
-                            k: l.k,
-                            under: l.patterns,
-                            over: h.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-        }
+        });
+        join_sides(low, high)
     }
 
     fn run_under(
@@ -1043,8 +954,8 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         upper: &Bounds,
         scope: OverRepScope,
         engine_sel: Engine,
-    ) -> (Vec<KResult>, SearchStats) {
-        // The optimized path is the incremental engine: one build at
+    ) -> DetectionOutput {
+        // The optimized path is the incremental upper policy: one build at
         // `k_min`, then per-`k` subtree walks and frontier deltas instead
         // of a fresh DFS plus full maximality sweep at every `k`.
         if engine_sel == Engine::Optimized {
@@ -1074,7 +985,7 @@ impl<I: CountsProvider> AuditParts<'_, I> {
             }
         }
         stats.elapsed = guard.elapsed();
-        (per_k, stats)
+        DetectionOutput { per_k, stats }
     }
 
     /// Brute-force over-representation baseline on a different code path
@@ -1131,38 +1042,14 @@ impl Audit {
         task: &AuditTask,
     ) -> Result<AuditStream<'_>, AuditError> {
         self.validate(cfg, task)?;
-        let under = match task {
-            AuditTask::UnderRep(BiasMeasure::GlobalLower(b)) => {
-                Some(engine::StreamCore::global(&self.index, &self.space, cfg, b))
-            }
-            AuditTask::UnderRep(BiasMeasure::Proportional { alpha }) => Some(
-                engine::StreamCore::proportional(&self.index, &self.space, cfg, *alpha),
-            ),
-            AuditTask::Combined { lower, .. } => Some(engine::StreamCore::global(
-                &self.index,
-                &self.space,
-                cfg,
-                lower,
-            )),
-            AuditTask::OverRep { .. } => None,
-        };
-        let over = match task {
-            AuditTask::UnderRep(_) => None,
-            AuditTask::OverRep { upper, scope } => Some(UpperStream::new(
-                &self.index,
-                &self.space,
-                cfg,
-                upper.clone(),
-                *scope,
-            )),
-            AuditTask::Combined { upper, .. } => Some(UpperStream::new(
-                &self.index,
-                &self.space,
-                cfg,
-                upper.clone(),
-                OverRepScope::MostSpecific,
-            )),
-        };
+        let (under, over) = task.sides();
+        let under = under.map(|measure| {
+            let lower = Lower::new(measure, cfg.k_max, true);
+            Stream::new(&self.index, &self.space, cfg, lower)
+        });
+        let over = over.map(|(upper, scope)| {
+            Stream::new(&self.index, &self.space, cfg, Upper::new(upper, scope))
+        });
         Ok(AuditStream {
             k_max: cfg.k_max,
             under,
@@ -1175,8 +1062,8 @@ impl Audit {
 /// Lazy per-`k` iterator returned by [`Audit::run_streaming`].
 pub struct AuditStream<'a> {
     k_max: usize,
-    under: Option<engine::StreamCore<'a, AuditIndex>>,
-    over: Option<UpperStream<'a, AuditIndex>>,
+    under: Option<Stream<'a, AuditIndex, Lower>>,
+    over: Option<Stream<'a, AuditIndex, Upper>>,
     next_k: usize,
 }
 
@@ -1185,7 +1072,7 @@ impl AuditStream<'_> {
     pub fn stats(&self) -> SearchStats {
         let mut stats = self.over.as_ref().map(|s| s.stats()).unwrap_or_default();
         if let Some(s) = &self.under {
-            stats.merge(s.stats());
+            stats.merge(&s.stats());
         }
         stats
     }
@@ -1550,25 +1437,47 @@ mod tests {
     }
 
     #[test]
-    fn over_rep_honors_deadline() {
+    fn every_task_flags_deadline_truncation() {
         let audit = fig1_audit();
-        let cfg = DetectConfig::new(1, 2, 16).with_deadline(std::time::Duration::ZERO);
-        let task = AuditTask::OverRep {
-            upper: Bounds::constant(1),
-            scope: OverRepScope::MostSpecific,
-        };
-        let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
-        // A zero deadline truncates (possibly to nothing) and says so.
-        assert!(out.stats.timed_out || out.per_k.len() == 15);
-        if out.stats.timed_out {
-            assert!(out.per_k.len() < 15);
-        }
-        // Produced prefixes are exact.
-        let full = audit
-            .run(&DetectConfig::new(1, 2, 16), &task, Engine::Optimized)
-            .unwrap();
-        for (got, want) in out.per_k.iter().zip(&full.per_k) {
-            assert_eq!(got, want);
+        let full_cfg = DetectConfig::new(1, 2, 16);
+        let tasks = [
+            AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(2))),
+            AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
+            AuditTask::OverRep {
+                upper: Bounds::constant(1),
+                scope: OverRepScope::MostSpecific,
+            },
+            AuditTask::Combined {
+                lower: Bounds::constant(2),
+                upper: Bounds::constant(3),
+            },
+        ];
+        for task in &tasks {
+            let full = audit.run(&full_cfg, task, Engine::Optimized).unwrap();
+            assert_eq!(full.per_k.len(), 15, "{task:?}");
+            for deadline in [None, Some(std::time::Duration::ZERO)] {
+                let cfg = DetectConfig {
+                    deadline,
+                    ..full_cfg.clone()
+                };
+                let batch = audit.run(&cfg, task, Engine::Optimized).unwrap();
+                let mut stream = audit.run_streaming(&cfg, task).unwrap();
+                let streamed: Vec<AuditKResult> = stream.by_ref().collect();
+                let stream_stats = stream.stats();
+                assert_eq!(stream.timed_out(), stream_stats.timed_out, "{task:?}");
+                if deadline.is_none() {
+                    assert!(!stream_stats.elapsed.is_zero(), "{task:?}");
+                }
+                for (mode, per_k, stats) in [
+                    ("run", &batch.per_k, &batch.stats),
+                    ("run_streaming", &streamed, &stream_stats),
+                ] {
+                    // A truncated run says so, and its prefix is exact.
+                    let truncated = per_k.len() < full.per_k.len();
+                    assert_eq!(stats.timed_out, truncated, "{task:?} {deadline:?} {mode}");
+                    assert_eq!(per_k[..], full.per_k[..per_k.len()], "{task:?} {mode}");
+                }
+            }
         }
     }
 

@@ -79,6 +79,7 @@ mod space;
 mod stats;
 mod suggest;
 mod topdown;
+mod tree;
 pub mod upper;
 mod upper_engine;
 pub mod util;

@@ -33,9 +33,10 @@
 //!    cadence (a seek would replay the gap anyway), and replays only the
 //!    surviving segments — a batch of two tight edit clusters far apart
 //!    no longer re-audits the dead middle. The re-run drives the same
-//!    incremental engines (`engine.rs` / `upper_engine.rs`) through the
-//!    same [`crate::audit::AuditParts`] execution core as a fresh
-//!    [`Audit::run`], so a delta re-audit cannot drift from a full one;
+//!    incremental pattern tree (`tree.rs`, under its lower and upper
+//!    policies) through the same [`crate::audit::AuditParts`] execution
+//!    core as a fresh [`Audit::run`], so a delta re-audit cannot drift
+//!    from a full one;
 //! 4. splices the recomputed `k` results over the cached ones and diffs
 //!    old vs new into a typed [`DeltaReport`] — which groups entered and
 //!    left the biased set, per `k` and per direction.
@@ -45,7 +46,7 @@
 //! With [`Engine::Optimized`] the monitor keeps the engines' search
 //! state **across** edit batches. The pattern-tree *structure* (interned
 //! patterns, parent/child links, `s_D`, pruned verdicts) is `k`- and
-//! bound-independent, so each engine interns it once in a flat
+//! bound-independent, so each direction's tree interns it once in a flat
 //! index-addressed **arena** that persists for the monitor's lifetime;
 //! every `C` values of `k` ([`MonitorBuilder::checkpoint_every`]) the
 //! engine snapshots only its *run state* — per-node counts, frontier

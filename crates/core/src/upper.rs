@@ -149,75 +149,6 @@ pub fn upper_most_specific<I: CountsProvider>(
     DetectionOutput { per_k, stats }
 }
 
-/// A combined lower+upper report for one `k`, the paper’s “plausible
-/// problem definition” that accounts for both bound directions.
-#[derive(Debug, Clone)]
-pub struct CombinedKResult {
-    /// The `k` this refers to.
-    pub k: usize,
-    /// Most general patterns below the lower bound.
-    pub under_represented: Vec<Pattern>,
-    /// Most specific substantial patterns above the upper bound.
-    pub over_represented: Vec<Pattern>,
-}
-
-/// Output of [`combined_bounds`]: per-`k` results plus instrumentation,
-/// so a deadline-truncated prefix is distinguishable from a legitimately
-/// short range ([`SearchStats::timed_out`]).
-#[derive(Debug, Clone)]
-pub struct CombinedOutput {
-    /// Per-`k` result sets, ordered by `k` (possibly truncated on
-    /// timeout).
-    pub per_k: Vec<CombinedKResult>,
-    /// Counters summed over both directions; `elapsed` is the total.
-    pub stats: SearchStats,
-}
-
-/// Runs both directions for each `k` in the range.
-///
-/// Honors [`DetectConfig::deadline`]: the lower side runs first under the
-/// full budget, the upper side gets the **remaining** wall clock (not a
-/// fresh budget) and only covers the `k` values the possibly-truncated
-/// lower side produced, so a timed-out run returns a consistent prefix —
-/// flagged via [`SearchStats::timed_out`].
-pub fn combined_bounds<I: CountsProvider>(
-    index: &I,
-    space: &PatternSpace,
-    cfg: &DetectConfig,
-    lower: &Bounds,
-    upper: &Bounds,
-) -> CombinedOutput {
-    let low = crate::engine::global_bounds(index, space, cfg, lower);
-    let Some(last) = low.per_k.last() else {
-        return CombinedOutput {
-            per_k: Vec::new(),
-            stats: low.stats,
-        };
-    };
-    let over_cfg = DetectConfig {
-        k_max: last.k,
-        deadline: cfg.deadline.map(|d| d.saturating_sub(low.stats.elapsed)),
-        ..cfg.clone()
-    };
-    let high = upper_most_specific(index, space, &over_cfg, upper);
-    let mut stats = low.stats.clone();
-    stats.merge(&high.stats);
-    stats.elapsed = low.stats.elapsed + high.stats.elapsed;
-    CombinedOutput {
-        per_k: low
-            .per_k
-            .into_iter()
-            .zip(high.per_k)
-            .map(|(l, h)| CombinedKResult {
-                k: l.k,
-                under_represented: l.patterns,
-                over_represented: h.patterns,
-            })
-            .collect(),
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,21 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn range_runner_and_combined() {
+    fn range_runner_covers_the_k_range() {
         let (_ds, space, _ranking, index) = fig1();
         let cfg = DetectConfig::new(4, 4, 6);
         let out = upper_most_specific(&index, &space, &cfg, &Bounds::constant(2));
         assert_eq!(out.per_k.len(), 3);
-        let combined = combined_bounds(
-            &index,
-            &space,
-            &cfg,
-            &Bounds::constant(2),
-            &Bounds::constant(3),
-        );
-        assert_eq!(combined.per_k.len(), 3);
-        assert_eq!(combined.per_k[0].k, 4);
-        assert!(!combined.stats.timed_out);
     }
 
     #[test]
@@ -335,35 +256,6 @@ mod tests {
         );
         assert!(!full.stats.timed_out);
         assert_eq!(full.per_k.len(), 15);
-    }
-
-    #[test]
-    fn combined_honors_deadline() {
-        // Regression: `combined_bounds` ignored the deadline on both
-        // sides. Under a zero budget the lower engine truncates before
-        // producing any `k`, and the combined report is a (here empty)
-        // consistent prefix rather than a full-length result.
-        let (_ds, space, _ranking, index) = fig1();
-        let cfg = DetectConfig::new(2, 4, 6).with_deadline(std::time::Duration::ZERO);
-        let combined = combined_bounds(
-            &index,
-            &space,
-            &cfg,
-            &Bounds::constant(2),
-            &Bounds::constant(3),
-        );
-        assert!(combined.per_k.is_empty());
-        assert!(combined.stats.timed_out);
-        // And the undeadlined run still covers the whole range.
-        let full = combined_bounds(
-            &index,
-            &space,
-            &DetectConfig::new(2, 4, 6),
-            &Bounds::constant(2),
-            &Bounds::constant(3),
-        );
-        assert_eq!(full.per_k.len(), 3);
-        assert!(!full.stats.timed_out);
     }
 }
 
