@@ -4,7 +4,7 @@
 //!   experiments `<id>` [--timeout SECS] [--seed N] [--quick]
 //!
 //! ids: fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize
-//!      worstcase faststeps scaling overrep serve monitor shard serve-net all
+//!      worstcase scaling overrep serve monitor shard serve-net all
 //!
 //! `overrep`, `serve`, `monitor`, `shard` and `serve-net` additionally
 //! write their measurements to `BENCH_overrep.json` / `BENCH_service.json`
@@ -20,9 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rankfair::core::{
-    upper, AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, OverRepScope,
-};
+use rankfair::core::{upper, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, OverRepScope};
 use rankfair::explain::distribution::compare_distributions;
 use rankfair::explain::{ExplainConfig, RankSurrogate};
 use rankfair::prelude::{compas_workload, german_workload, student_workload, Workload};
@@ -471,51 +469,6 @@ fn resultsize(opts: &Opts) {
         "{small}/{total} = {:.2}% of result sets have < 100 groups (max seen: {max_seen}); paper reports 97.58%",
         100.0 * small as f64 / total as f64
     );
-}
-
-/// Ablation of the bound-step extension: Algorithm 2's rebuild-at-steps
-/// vs. the node-store rescan (the streaming path's bound-step handling).
-fn faststeps(opts: &Opts) {
-    println!("\n## Ablation: bound-step handling in GlobalBounds (rebuild vs. rescan)");
-    let attrs = if opts.quick { 8 } else { 11 };
-    let (cfg, bounds, _) = paper_defaults();
-    let cfg = DetectConfig {
-        deadline: Some(opts.timeout),
-        ..cfg
-    };
-    let mut t = Table::new(&[
-        "dataset",
-        "rebuild_ms",
-        "rescan_ms",
-        "rebuild_evals",
-        "rescan_evals",
-    ]);
-    for w in &workloads(opts) {
-        let audit = audit_with_attrs(w, attrs);
-        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(bounds.clone()));
-        let t0 = std::time::Instant::now();
-        let rebuild = audit.run(&cfg, &task, Engine::Optimized).unwrap();
-        let rebuild_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        // The streaming path applies the rescan extension at bound steps.
-        let t0 = std::time::Instant::now();
-        let mut stream = audit.run_streaming(&cfg, &task).unwrap();
-        let rescan_per_k: Vec<AuditKResult> = stream.by_ref().collect();
-        let rescan_evals = stream.stats().nodes_evaluated;
-        let rescan_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        assert_eq!(
-            rebuild.per_k, rescan_per_k,
-            "extension must be output-equivalent"
-        );
-        t.row(&[
-            w.name.to_string(),
-            format!("{rebuild_ms:.1}"),
-            format!("{rescan_ms:.1}"),
-            rebuild.stats.nodes_evaluated.to_string(),
-            rescan_evals.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-    println!("(identical outputs; the rescan never re-evaluates a pattern at a bound step)");
 }
 
 /// Beyond the paper: runtime as the dataset grows (synthetic COMPAS rows
@@ -1589,7 +1542,6 @@ fn main() {
         "casestudy" => casestudy(&opts),
         "resultsize" => resultsize(&opts),
         "worstcase" => worstcase(&opts),
-        "faststeps" => faststeps(&opts),
         "scaling" => scaling(&opts),
         "overrep" => overrep(&opts),
         "serve" => serve_bench(&opts),
@@ -1608,7 +1560,6 @@ fn main() {
             casestudy(&opts);
             resultsize(&opts);
             worstcase(&opts);
-            faststeps(&opts);
             scaling(&opts);
             overrep(&opts);
             serve_bench(&opts);
@@ -1617,7 +1568,7 @@ fn main() {
             serve_net_bench(&opts);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; expected one of: fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize worstcase faststeps scaling overrep serve monitor shard serve-net all");
+            eprintln!("unknown experiment `{other}`; expected one of: fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize worstcase scaling overrep serve monitor shard serve-net all");
             std::process::exit(2);
         }
     }

@@ -899,7 +899,7 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         let reorder = reorder.map(|r| (r, self.ranking.order()));
         let (index, space, cadence) = (self.index, self.space, ckpts.cadence);
         let low = under.map(|measure| {
-            let lower = Lower::new(measure, cfg.k_max, true);
+            let lower = Lower::new(measure, cfg.k_max);
             tree::replay(
                 index,
                 space,
@@ -1044,7 +1044,7 @@ impl Audit {
         self.validate(cfg, task)?;
         let (under, over) = task.sides();
         let under = under.map(|measure| {
-            let lower = Lower::new(measure, cfg.k_max, true);
+            let lower = Lower::new(measure, cfg.k_max);
             Stream::new(&self.index, &self.space, cfg, lower)
         });
         let over = over.map(|(upper, scope)| {

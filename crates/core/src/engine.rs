@@ -20,17 +20,16 @@
 //!
 //! For the global measure the bound is constant between bound steps and
 //! counts only grow, so nodes can only *leave* the biased state — no
-//! schedule is needed; when `L_k` changes the batch run rebuilds from
-//! scratch, exactly as Algorithm 2 does (lines 4–5). Streaming and the
-//! monitor's replay apply the bound-step extension instead
-//! ([`Lower::new`]'s `fast_steps`): a store-wide reclassification pass
-//! with zero fresh evaluations.
+//! schedule is needed. Where Algorithm 2 (lines 4–5) re-runs the search
+//! whenever `L_k` changes, every mode here — batch, stream and replay —
+//! walks the entering tuple and reclassifies the live store instead, in
+//! either direction and with zero fresh evaluations: the same
+//! [`Frontier::reclassify`] pass that repairs a checkpoint.
 //!
 //! The over-representation side is the [`crate::upper_engine::Upper`]
 //! policy over the same tree; the per-`k` searches in [`crate::upper`]
 //! remain its differential anchor.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::bounds::{BiasMeasure, Bounds};
@@ -43,13 +42,10 @@ use crate::util::{FxHashMap, FxHashSet};
 /// The lower policy: the bias measure and the `Res`/`DRes` frontier.
 pub(crate) struct Lower {
     measure: BiasMeasure,
-    /// Whether a global bound *increase* is handled by a store rescan
-    /// (streaming, replay) or by Algorithm 2's rebuild (the batch run).
-    fast_steps: bool,
-    /// Memoized `(k, L_k)` for the global measure: every `is_biased` call
-    /// within one step shares `k`, so the bound lookup (a linear scan for
+    /// `L_k` of the step in progress (global measure only), set before
+    /// any node is classified: the bound lookup (a linear scan for
     /// [`Bounds::Steps`]) is hoisted out of the per-node predicate.
-    lk_memo: Cell<(usize, usize)>,
+    l: usize,
     sets: LowerSets,
 }
 
@@ -92,7 +88,7 @@ impl LowerSets {
 }
 
 impl Lower {
-    pub(crate) fn new(measure: BiasMeasure, k_max: usize, fast_steps: bool) -> Self {
+    pub(crate) fn new(measure: BiasMeasure, k_max: usize) -> Self {
         let schedule = if measure.is_proportional() {
             vec![Vec::new(); k_max + 1]
         } else {
@@ -100,12 +96,18 @@ impl Lower {
         };
         Lower {
             measure,
-            fast_steps,
-            lk_memo: Cell::new((usize::MAX, 0)),
+            l: 0,
             sets: LowerSets {
                 schedule,
                 ..LowerSets::default()
             },
+        }
+    }
+
+    /// Enters the step at `k`: loads `L_k` for the global measure.
+    fn enter(&mut self, k: usize) {
+        if let BiasMeasure::GlobalLower(b) = &self.measure {
+            self.l = b.at(k);
         }
     }
 }
@@ -119,15 +121,16 @@ impl Frontier for Lower {
         }
     }
 
-    /// Full top-down build at `k` (used for `k_min` and for global-bound
-    /// steps). Breadth-first so dominance sees subsets before supersets.
-    /// With a populated arena the whole pass runs on prefix recounts —
-    /// fresh fused evaluations happen only for never-seen patterns.
+    /// Full top-down build at `k_min`. Breadth-first so dominance sees
+    /// subsets before supersets. With a populated arena the whole pass
+    /// runs on prefix recounts — fresh fused evaluations happen only for
+    /// never-seen patterns.
     fn build<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,
         guard: &mut DeadlineGuard,
     ) -> bool {
+        t.frontier.enter(k);
         t.stats.full_searches += 1;
         t.activate_roots(k);
         let mut queue: VecDeque<u32> = t.arena.root_children.iter().copied().collect();
@@ -148,72 +151,46 @@ impl Frontier for Lower {
         true
     }
 
-    /// Walks the entering tuple, handles bound steps (store rescan with
-    /// `fast_steps`, Algorithm 2's rebuild without), drains the `k̃`
-    /// schedule and applies transitions.
+    /// Walks the entering tuple, drains the `k̃` schedule and applies
+    /// transitions. Across a global bound change `L_{k-1} ≠ L_k` — up or
+    /// down — the walk is followed by a store-wide [`Self::reclassify`]
+    /// instead.
     fn advance<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,
         guard: &mut DeadlineGuard,
     ) -> bool {
-        let (now, before) = match &t.frontier.measure {
-            BiasMeasure::GlobalLower(b) => (b.at(k), b.at(k - 1)),
-            BiasMeasure::Proportional { .. } => (0, 0),
-        };
-        let mut cands = FxHashSet::default();
-        if t.frontier.fast_steps && now > before {
-            // A bound *increase* with the extension enabled: walk the new
-            // tuple, then reclassify the whole store.
-            t.walk_counts(k, &mut cands);
-            t.rescan_all(k, &mut cands);
-        } else if now != before {
-            // Algorithm 2, lines 4–5: a bound change invalidates the
-            // incremental frontier — run a fresh search. (Also the
-            // fallback for decreasing bounds, where the rescan argument
-            // does not apply.) The arena survives the reset, so the
-            // rebuild runs on prefix recounts.
-            t.reset();
-            return Self::build(t, k, guard);
-        } else {
-            t.walk_counts(k, &mut cands);
-            t.pop_schedule(k, &mut cands);
+        if let BiasMeasure::GlobalLower(b) = &t.frontier.measure {
+            if b.at(k) != b.at(k - 1) {
+                t.walk(k - 1, true, |_, _| {});
+                return Self::reclassify(t, k, &[], guard);
+            }
         }
+        t.frontier.enter(k);
+        let mut cands = FxHashSet::default();
+        t.walk_counts(k, &mut cands);
+        t.pop_schedule(k, &mut cands);
         t.apply_transitions(k, cands, guard)
     }
 
-    /// Subtracts the leaving tuples, adds the entering ones, then
-    /// reclassifies the whole store and applies the transitions — the
-    /// same both-directions machinery the bound-step rescan uses, so
-    /// counts may move either way.
-    fn repair<I: CountsProvider>(
+    /// Reclassifies the whole store and applies the transitions, then
+    /// refreshes the proportional `k̃` schedule for `decremented` nodes: a
+    /// smaller count flips *earlier*, and a stale later entry would miss
+    /// the flip — the inverse of the growth-only staleness
+    /// `pop_schedule` tolerates.
+    fn reclassify<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,
-        entering: &[usize],
-        leaving: &[usize],
+        decremented: &[u32],
         guard: &mut DeadlineGuard,
     ) -> bool {
-        // Decremented ids, collected so the proportional `k̃` schedule can
-        // be refreshed: a smaller count flips *earlier*, and a stale later
-        // entry would miss the flip — the inverse of the growth-only
-        // staleness `pop_schedule` tolerates.
-        let track = !t.frontier.sets.schedule.is_empty();
-        let mut touched_down = Vec::new();
-        for &pos in leaving {
-            t.walk(pos, false, |_, id| {
-                if track {
-                    touched_down.push(id);
-                }
-            });
-        }
-        for &pos in entering {
-            t.walk(pos, true, |_, _| {});
-        }
+        t.frontier.enter(k);
         let mut cands = FxHashSet::default();
         t.rescan_all(k, &mut cands);
         if !t.apply_transitions(k, cands, guard) {
             return false;
         }
-        for id in touched_down {
+        for &id in decremented {
             if !t.arena.pruned[id as usize] && !t.marked[id as usize] {
                 t.schedule_push(id, k);
             }
@@ -256,20 +233,10 @@ impl<I: CountsProvider> PatternTree<'_, I, Lower> {
         debug_assert!(self.counts[id as usize] != NOT_LIVE);
         match &self.frontier.measure {
             // Same predicate as `BiasMeasure::is_biased` (`count < L_k`,
-            // an exact integer compare — no drift possible), with the
-            // `L_k` lookup memoized per `k` instead of re-scanned for
-            // every touched node.
-            BiasMeasure::GlobalLower(b) => {
-                let (mk, ml) = self.frontier.lk_memo.get();
-                let l = if mk == k {
-                    ml
-                } else {
-                    let l = b.at(k);
-                    self.frontier.lk_memo.set((k, l));
-                    l
-                };
-                (self.counts[id as usize] as usize) < l
-            }
+            // an exact integer compare — no drift possible), with `L_k`
+            // loaded once per step instead of re-scanned for every
+            // touched node.
+            BiasMeasure::GlobalLower(_) => (self.counts[id as usize] as usize) < self.frontier.l,
             m => m.is_biased(
                 self.counts[id as usize] as usize,
                 self.arena.nodes[id as usize].sd as usize,
@@ -491,15 +458,17 @@ impl<I: CountsProvider> PatternTree<'_, I, Lower> {
         true
     }
 
-    /// Extension beyond the paper: handles an *increase* of the global
-    /// lower bound without the full rebuild Algorithm 2 performs.
+    /// Collects every live node whose classification disagrees with its
+    /// frontier bit — the store-wide pass behind a global bound change,
+    /// where Algorithm 2 would re-run the search instead.
     ///
-    /// When `L` grows, nodes can only *enter* the biased state, and every
-    /// most general biased pattern under the new bound is already stored
-    /// (its tree ancestors are non-biased under the new bound, hence were
-    /// non-biased — and therefore expanded — under every earlier, smaller
-    /// bound). A single pass over the live store reclassifies without a
-    /// single fresh pattern evaluation.
+    /// No fresh pattern evaluation is needed in either direction. When
+    /// `L` grows by `≥ 1` while a count grows by at most one, a node
+    /// non-biased now was non-biased one step earlier, so every most
+    /// general biased pattern under the new bound has an expanded parent
+    /// and is already stored. When `L` shrinks (or a repair moved counts
+    /// either way), nodes that stop being biased are stored and flagged,
+    /// and [`Self::apply_transitions`] resumes the search below them.
     fn rescan_all(&mut self, k: usize, cands: &mut FxHashSet<u32>) {
         self.rescan(|t, id| {
             if t.is_biased(id, k) != t.marked[id as usize] {
@@ -518,7 +487,7 @@ pub(crate) fn global_bounds<I: CountsProvider>(
     cfg: &DetectConfig,
     bounds: &Bounds,
 ) -> DetectionOutput {
-    let lower = Lower::new(BiasMeasure::GlobalLower(bounds.clone()), cfg.k_max, false);
+    let lower = Lower::new(BiasMeasure::GlobalLower(bounds.clone()), cfg.k_max);
     Stream::new(index, space, cfg, lower).run()
 }
 
@@ -532,13 +501,14 @@ pub(crate) fn prop_bounds<I: CountsProvider>(
     alpha: f64,
 ) -> DetectionOutput {
     assert!(alpha > 0.0, "alpha must be positive");
-    let lower = Lower::new(BiasMeasure::Proportional { alpha }, cfg.k_max, false);
+    let lower = Lower::new(BiasMeasure::Proportional { alpha }, cfg.k_max);
     Stream::new(index, space, cfg, lower).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::KResult;
     use crate::topdown::iter_td;
     use crate::tree::tests::{fig1, lower_cases, seeks_checkpoints, segmented_spans};
 
@@ -608,8 +578,16 @@ mod tests {
         let base = iter_td(&index, &space, &cfg, &measure);
         let opt = global_bounds(&index, &space, &cfg, &bounds);
         assert_eq!(base.per_k, opt.per_k);
-        // One initial build plus one rebuild per bound step inside (2,16].
-        assert_eq!(opt.stats.full_searches, 3);
+        // Bound steps reclassify the store in every mode: the batch run
+        // does exactly the stream's work, one initial build and no
+        // rebuild.
+        let lower = Lower::new(BiasMeasure::GlobalLower(bounds.clone()), cfg.k_max);
+        let mut stream = Stream::new(&index, &space, &cfg, lower);
+        let streamed: Vec<KResult> = stream.by_ref().collect();
+        assert_eq!(opt.per_k, streamed);
+        assert_eq!(opt.stats.full_searches, 1);
+        assert_eq!(stream.stats().full_searches, 1);
+        assert_eq!(opt.stats.nodes_evaluated, stream.stats().nodes_evaluated);
     }
 
     #[test]
@@ -663,7 +641,7 @@ mod tests {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
         for (measure, want) in lower_cases(&index, &space, &cfg) {
-            let make = || Lower::new(measure.clone(), cfg.k_max, true);
+            let make = || Lower::new(measure.clone(), cfg.k_max);
             seeks_checkpoints(&index, &space, &cfg, &format!("{measure:?}"), make, &want);
         }
     }
@@ -673,7 +651,7 @@ mod tests {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
         for (measure, want) in lower_cases(&index, &space, &cfg) {
-            let make = || Lower::new(measure.clone(), cfg.k_max, true);
+            let make = || Lower::new(measure.clone(), cfg.k_max);
             segmented_spans(&index, &space, &cfg, &format!("{measure:?}"), make, &want);
         }
     }
@@ -691,7 +669,7 @@ mod stream_tests {
         let cfg = DetectConfig::new(2, 2, 16);
         let bounds = Bounds::steps(vec![(2, 1), (6, 2), (10, 3)]);
         let batch = global_bounds(&index, &space, &cfg, &bounds);
-        let lower = Lower::new(BiasMeasure::GlobalLower(bounds.clone()), cfg.k_max, true);
+        let lower = Lower::new(BiasMeasure::GlobalLower(bounds.clone()), cfg.k_max);
         let streamed: Vec<KResult> = Stream::new(&index, &space, &cfg, lower).collect();
         assert_eq!(batch.per_k, streamed);
     }
@@ -701,7 +679,7 @@ mod stream_tests {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 3, 16);
         let batch = prop_bounds(&index, &space, &cfg, 0.8);
-        let lower = Lower::new(BiasMeasure::Proportional { alpha: 0.8 }, cfg.k_max, true);
+        let lower = Lower::new(BiasMeasure::Proportional { alpha: 0.8 }, cfg.k_max);
         let streamed: Vec<KResult> = Stream::new(&index, &space, &cfg, lower).collect();
         assert_eq!(batch.per_k, streamed);
     }
@@ -710,7 +688,7 @@ mod stream_tests {
     fn stream_is_lazy() {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
-        let lower = Lower::new(BiasMeasure::Proportional { alpha: 0.8 }, cfg.k_max, true);
+        let lower = Lower::new(BiasMeasure::Proportional { alpha: 0.8 }, cfg.k_max);
         let mut stream = Stream::new(&index, &space, &cfg, lower);
         let first = stream.next().unwrap();
         assert_eq!(first.k, 2);
@@ -724,11 +702,7 @@ mod stream_tests {
     fn stream_can_stop_early() {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
-        let lower = Lower::new(
-            BiasMeasure::GlobalLower(Bounds::constant(2)),
-            cfg.k_max,
-            true,
-        );
+        let lower = Lower::new(BiasMeasure::GlobalLower(Bounds::constant(2)), cfg.k_max);
         let ks: Vec<usize> = Stream::new(&index, &space, &cfg, lower)
             .take(3)
             .map(|kr| kr.k)

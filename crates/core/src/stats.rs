@@ -58,8 +58,9 @@ pub struct SearchStats {
     pub nodes_touched: u64,
     /// `k̃`-schedule entries popped and validated (proportional only).
     pub schedule_pops: u64,
-    /// Full top-down rebuilds (1 for the initial search; +1 per bound step
-    /// for the global measure).
+    /// Full top-down searches: one per build of an incremental engine
+    /// (bound steps reclassify its store instead), one per `k` for the
+    /// per-`k` baseline searches.
     pub full_searches: u64,
     /// Wall-clock time of the run.
     pub elapsed: Duration,

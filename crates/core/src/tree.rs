@@ -11,11 +11,15 @@
 //! the hot walk stays monomorphized:
 //!
 //! * [`crate::engine::Lower`] — the most general **under**-represented
-//!   patterns (`Res`/`DRes`, the `k̃` schedule, Algorithm 2's rebuild at
-//!   bound steps);
+//!   patterns (`Res`/`DRes` and the `k̃` schedule);
 //! * [`crate::upper_engine::Upper`] — the most specific **over**-
 //!   represented patterns (the qualifying closure and its maximal
 //!   frontier).
+//!
+//! Both policies handle counts or the bound moving in bulk — a bound step
+//! in [`Frontier::advance`], a checkpoint repair in
+//! [`PatternTree::apply_set_diff`] — through one hook,
+//! [`Frontier::reclassify`].
 //!
 //! ## Arena store and run state
 //!
@@ -38,8 +42,7 @@
 //!   truncated bitmap scan) — the stored `s_D` is reused, never
 //!   recomputed;
 //! * [`PatternTree::reset`] keeps the arena and only clears run state, so
-//!   a rebuild (Algorithm 2's bound steps, a replay's cold build) runs on
-//!   prefix recounts after the first build.
+//!   a replay's cold build runs on prefix recounts after the first build.
 //!
 //! The arena is append-only (structure is `k`- and bound-independent), so
 //! a checkpoint taken at any time stays consistent with every later arena:
@@ -54,7 +57,8 @@
 //! top-`k` set unchanged for `k ≤ lo` and `k > hi` — and for every `k` no
 //! row's net movement crossed, which segmented [`replay`] exploits — so
 //! those checkpoints stay exact; a checkpoint the reorder did swallow is
-//! repaired in place from the top-`k` set diff ([`Frontier::repair`]).
+//! repaired in place from the top-`k` set diff
+//! ([`PatternTree::apply_set_diff`]).
 //! Insertions move `n` and `s_D`, invalidating every checkpoint and the
 //! arena itself ([`Store::clear`]).
 
@@ -131,15 +135,15 @@ pub(crate) trait Frontier: Sized {
         guard: &mut DeadlineGuard,
     ) -> bool;
 
-    /// Repairs a state positioned at `k` after a pure reorder changed its
-    /// top-`k` **set**: `entering`/`leaving` are rank positions in the
-    /// patched index (see [`top_k_diff`]). Sound because a reorder leaves
-    /// `s_D`, `n` and the pruned verdicts untouched.
-    fn repair<I: CountsProvider>(
+    /// Reclassifies the whole live store at `k` after counts or the bound
+    /// moved in bulk — a bound step, or a checkpoint repair — and applies
+    /// the resulting flips in both directions. `decremented` lists the
+    /// nodes whose counts went down (with repetition). Loads the step's
+    /// bound itself: a restored checkpoint does not carry it.
+    fn reclassify<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,
-        entering: &[usize],
-        leaving: &[usize],
+        decremented: &[u32],
         guard: &mut DeadlineGuard,
     ) -> bool;
 
@@ -439,6 +443,27 @@ impl<'a, I: CountsProvider, F: Frontier> PatternTree<'a, I, F> {
             .collect()
     }
 
+    /// Repairs a state positioned at `k` after a pure reorder changed its
+    /// top-`k` **set**: `entering`/`leaving` are rank positions in the
+    /// patched index (see [`top_k_diff`]). Sound because a reorder leaves
+    /// `s_D`, `n` and the pruned verdicts untouched.
+    pub(crate) fn apply_set_diff(
+        &mut self,
+        k: usize,
+        entering: &[usize],
+        leaving: &[usize],
+        guard: &mut DeadlineGuard,
+    ) -> bool {
+        let mut decremented = Vec::new();
+        for &pos in leaving {
+            self.walk(pos, false, |_, id| decremented.push(id));
+        }
+        for &pos in entering {
+            self.walk(pos, true, |_, _| {});
+        }
+        F::reclassify(self, k, &decremented, guard)
+    }
+
     /// Clears the run state for a fresh build. The arena is kept: the
     /// follow-up build re-activates the stored structure with prefix
     /// recounts instead of re-evaluating it.
@@ -650,7 +675,7 @@ pub(crate) fn replay<I: CountsProvider, F: Frontier>(
                         let (entering, leaving) =
                             top_k_diff(cp_k, spec.lo, &spec.old_order, new_order);
                         if !(entering.is_empty() && leaving.is_empty()) {
-                            F::repair(&mut tree, cp_k, &entering, &leaving, &mut guard);
+                            tree.apply_set_diff(cp_k, &entering, &leaving, &mut guard);
                             counters.repairs += 1;
                             store.snaps[i] = tree.to_checkpoint(cp_k);
                             healed.insert(cp_k);
@@ -803,20 +828,26 @@ pub(crate) mod tests {
         (space, index)
     }
 
-    /// The lower measures the replay tests cover — a stepped and a
-    /// per-`k` global bound, and the proportional measure — each with the
-    /// fresh batch run its replays must reproduce.
+    /// The lower measures the replay tests cover — a rising and an
+    /// up-and-down stepped global bound, a per-`k` one, and the
+    /// proportional measure — each with the fresh batch run its replays
+    /// must reproduce.
     pub(crate) fn lower_cases(
         index: &RankedIndex,
         space: &PatternSpace,
         cfg: &DetectConfig,
     ) -> Vec<(BiasMeasure, Vec<KResult>)> {
         let steps = Bounds::steps(vec![(2, 1), (6, 2), (10, 3)]);
+        let mixed = Bounds::steps(vec![(2, 3), (5, 1), (11, 4), (13, 2)]);
         let fraction = Bounds::LinearFraction(0.3);
         vec![
             (
                 BiasMeasure::GlobalLower(steps.clone()),
                 global_bounds(index, space, cfg, &steps).per_k,
+            ),
+            (
+                BiasMeasure::GlobalLower(mixed.clone()),
+                global_bounds(index, space, cfg, &mixed).per_k,
             ),
             (
                 BiasMeasure::GlobalLower(fraction.clone()),

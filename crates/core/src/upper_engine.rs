@@ -116,10 +116,10 @@ impl Frontier for Upper {
     /// With an unchanged bound: walk the new tuple's subtree, repair the
     /// closure and apply the frontier delta (counts only grow, so no node
     /// can stop qualifying). Across a bound change `U_{k-1} ≠ U_k`: walk,
-    /// then reclassify the entire live store (no fresh evaluations) —
-    /// increasing *and* decreasing bounds, with frontier probes confined
-    /// to the flipped region, so even a bound that changes at every `k`
-    /// keeps the policy incremental.
+    /// then [`Self::reclassify`] the entire live store (no fresh
+    /// evaluations) — increasing *and* decreasing bounds, with frontier
+    /// probes confined to the flipped region, so even a bound that
+    /// changes at every `k` keeps the policy incremental.
     fn advance<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,
@@ -129,11 +129,11 @@ impl Frontier for Upper {
             return false;
         }
         let u = t.frontier.upper.at(k);
-        t.frontier.u = u;
         if u != t.frontier.upper.at(k - 1) {
             t.walk(k - 1, true, |_, _| {});
-            return t.reclassify_all(k, guard);
+            return Self::reclassify(t, k, &[], guard);
         }
+        t.frontier.u = u;
         let mut fresh = Vec::new();
         t.walk(k - 1, true, |t, id| {
             if !t.marked[id as usize] && (t.counts[id as usize] as usize) > u {
@@ -147,24 +147,35 @@ impl Frontier for Upper {
         t.cascade(&mut fresh, k, guard) && t.apply_frontier_delta(&fresh, &[], guard)
     }
 
-    /// Moves the counts by the set diff, then reclassifies the whole
-    /// store — the bound-step machinery, which already handles flips in
-    /// both directions.
-    fn repair<I: CountsProvider>(
+    /// Reclassifies every live node under `U_k` after counts or the bound
+    /// moved in bulk, repairs the closure where the qualifying set grew,
+    /// and applies the frontier delta with both gains and losses. Counts
+    /// are classified directly, so `decremented` needs no extra handling.
+    fn reclassify<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,
-        entering: &[usize],
-        leaving: &[usize],
+        _decremented: &[u32],
         guard: &mut DeadlineGuard,
     ) -> bool {
-        t.frontier.u = t.frontier.upper.at(k);
-        for &pos in leaving {
-            t.walk(pos, false, |_, _| {});
+        let u = t.frontier.upper.at(k);
+        t.frontier.u = u;
+        let mut fresh = Vec::new();
+        let mut lost = Vec::new();
+        t.rescan(|t, id| {
+            let q = (t.counts[id as usize] as usize) > u;
+            if q != t.marked[id as usize] {
+                t.marked[id as usize] = q;
+                if q {
+                    fresh.push(id);
+                } else {
+                    lost.push(id);
+                }
+            }
+        });
+        if t.frontier.scope == OverRepScope::MostGeneral {
+            return true;
         }
-        for &pos in entering {
-            t.walk(pos, true, |_, _| {});
-        }
-        t.reclassify_all(k, guard)
+        t.cascade(&mut fresh, k, guard) && t.apply_frontier_delta(&fresh, &lost, guard)
     }
 
     fn clear(&mut self) {
@@ -305,31 +316,6 @@ impl<I: CountsProvider> PatternTree<'_, I, Upper> {
             }
         }
         true
-    }
-
-    /// Reclassifies every live node under the current bound after counts
-    /// moved in bulk (a bound step, or a checkpoint repair), repairs the
-    /// closure where the qualifying set grew, and applies the frontier
-    /// delta with both gains and losses.
-    fn reclassify_all(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool {
-        let u = self.frontier.u;
-        let mut fresh = Vec::new();
-        let mut lost = Vec::new();
-        self.rescan(|t, id| {
-            let q = (t.counts[id as usize] as usize) > u;
-            if q != t.marked[id as usize] {
-                t.marked[id as usize] = q;
-                if q {
-                    fresh.push(id);
-                } else {
-                    lost.push(id);
-                }
-            }
-        });
-        if self.frontier.scope == OverRepScope::MostGeneral {
-            return true;
-        }
-        self.cascade(&mut fresh, k, guard) && self.apply_frontier_delta(&fresh, &lost, guard)
     }
 }
 

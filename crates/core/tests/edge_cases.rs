@@ -107,9 +107,9 @@ fn cardinality_one_attribute() {
 
 #[test]
 fn decreasing_bounds_still_exact() {
-    // Footnote 3 assumes non-decreasing L_k; the engine falls back to a
-    // fresh search on any bound change, so a decreasing specification must
-    // still be exact (if unusual).
+    // Footnote 3 assumes non-decreasing L_k; the engine reclassifies its
+    // live store on a bound change in either direction, so a decreasing
+    // specification must still be exact (if unusual).
     let audit = build(11, 50, 4);
     let bounds = Bounds::steps(vec![(0, 6), (10, 4), (20, 2)]);
     let cfg = DetectConfig::new(2, 2, 40);
@@ -240,7 +240,14 @@ fn stats_monotonicity_between_algorithms() {
     let opt = audit.run(&cfg, &g, Engine::Optimized).unwrap();
     assert_eq!(base.per_k, opt.per_k);
     assert!(opt.stats.patterns_examined() < base.stats.patterns_examined());
-    assert_eq!(opt.stats.full_searches, 3); // initial + steps at 50 and 90
+    // Steps at 50 and 90 reclassify the store: batch and stream do the
+    // same work, one initial build each.
+    let mut stream = audit.run_streaming(&cfg, &g).unwrap();
+    let streamed: Vec<_> = stream.by_ref().collect();
+    assert_eq!(streamed, opt.per_k);
+    assert_eq!(opt.stats.full_searches, 1);
+    assert_eq!(stream.stats().full_searches, 1);
+    assert_eq!(opt.stats.nodes_evaluated, stream.stats().nodes_evaluated);
 
     let p = AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.7 });
     let base = audit.run(&cfg, &p, Engine::Baseline).unwrap();

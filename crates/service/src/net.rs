@@ -570,6 +570,10 @@ fn handle_connection<'scope>(
 /// way a buffered reader would.
 fn read_loop(ctx: Ctx<'_>, conn: &mut Conn, session: &mut Session<'_>) -> ReadEnd {
     let mut acc: VecDeque<u8> = VecDeque::new();
+    // Leading bytes of `acc` already searched for a newline: each read
+    // scans only what it appended, so a line near `max_line_bytes` costs
+    // one pass over its bytes rather than one per 8 KiB read.
+    let mut scanned = 0usize;
     let mut buf = [0u8; 8192];
     let mut last_activity = Instant::now();
     loop {
@@ -584,8 +588,9 @@ fn read_loop(ctx: Ctx<'_>, conn: &mut Conn, session: &mut Session<'_>) -> ReadEn
                     return ReadEnd::Closed;
                 };
                 acc.extend(chunk.iter().copied());
-                while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-                    let mut line: Vec<u8> = acc.drain(..=pos).collect();
+                while let Some(pos) = acc.range(scanned..).position(|&b| b == b'\n') {
+                    let mut line: Vec<u8> = acc.drain(..=scanned + pos).collect();
+                    scanned = 0;
                     line.pop(); // the newline
                     if line.last() == Some(&b'\r') {
                         line.pop();
@@ -611,6 +616,7 @@ fn read_loop(ctx: Ctx<'_>, conn: &mut Conn, session: &mut Session<'_>) -> ReadEn
                         return ReadEnd::Closed;
                     }
                 }
+                scanned = acc.len();
                 // A partial line larger than the cap can never become a
                 // valid request: answer and close rather than buffer an
                 // unbounded stream of garbage.

@@ -246,8 +246,9 @@ impl Executor {
             })
             .collect();
         // Send while still holding the dispatch lock: queue order must
-        // equal ticket order.
-        // lint:allow(guard-across-blocking) -- deliberate: the job channel is unbounded, so send never blocks; holding `dispatch` is what makes queue order equal ticket order
+        // equal ticket order. The channel is bounded, so a full queue
+        // blocks here with the lock held.
+        // lint:allow(guard-across-blocking) -- deliberate: a full bounded job queue blocks send with `dispatch` held, which is the intended global backpressure; no worker ever takes `dispatch`, so workers keep draining and the wait always ends; `close()` runs only after every session has stopped dispatching
         let _ = job_tx.send(Job {
             seq,
             res_tx,

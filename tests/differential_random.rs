@@ -128,7 +128,7 @@ fn random_audit(rng: &mut StdRng) -> (Audit, usize) {
 }
 
 fn random_bounds(rng: &mut StdRng, rows: usize) -> Bounds {
-    match rng.random_range(0..4usize) {
+    match rng.random_range(0..5usize) {
         0 => Bounds::constant(rng.random_range(0..=rows / 2)),
         1 => {
             let base = rng.random_range(0..3usize);
@@ -139,6 +139,7 @@ fn random_bounds(rng: &mut StdRng, rows: usize) -> Bounds {
                 (rows / 2, base + 2 * step),
             ])
         }
+        2 => mixed_steps(rng, rows),
         // LinearFraction across the extremes: 0 (nothing bounded), tiny,
         // mid, ~1, and > 1 (bound beyond k — everything under / nothing
         // legal over).
@@ -146,6 +147,19 @@ fn random_bounds(rng: &mut StdRng, rows: usize) -> Bounds {
             [0.0, 0.01, 0.3, 0.5, 0.99, 1.0, 2.5][rng.random_range(0..7usize)],
         ),
     }
+}
+
+/// Step bounds that move in both directions: down at `rows/4`, up at
+/// `rows/2`, down again at `3·rows/4`.
+fn mixed_steps(rng: &mut StdRng, rows: usize) -> Bounds {
+    let high = rng.random_range(1..5usize);
+    let low = rng.random_range(0..high);
+    Bounds::steps(vec![
+        (0, high),
+        (rows / 4, low),
+        (rows / 2, high + rng.random_range(0..2usize)),
+        (3 * rows / 4, low),
+    ])
 }
 
 #[test]
@@ -242,11 +256,12 @@ fn engines_agree_with_each_other_and_the_oracle_on_random_instances() {
 /// must be identical to a fresh `Audit::run` over the monitor's current
 /// data. Bounds include `LinearFraction` on **both** sides, whose
 /// `L_k`/`U_k` change at every single `k`, so replays cross a bound step
-/// at every advance.
+/// at every advance, and [`random_bounds`] lower bounds that step down
+/// as well as up; the proportional measure covers the `k̃` schedule.
 #[test]
 fn checkpointed_delta_reaudits_match_fresh_audits_at_every_cadence() {
     let mut rng = StdRng::seed_from_u64(0xC4E7);
-    for case in 0..40usize {
+    for case in 0..80usize {
         let cadence = [1usize, 2, 3, 5, 9][case % 5];
         let rows = rng.random_range(12..36usize);
         let attrs = rng.random_range(2..4usize);
@@ -267,7 +282,7 @@ fn checkpointed_delta_reaudits_match_fresh_audits_at_every_cadence() {
         let k_max = rng.random_range(3..=rows);
         let cfg = DetectConfig::new(tau, rng.random_range(1..3usize).min(k_max), k_max);
         // Fraction bounds change at every k — the hardest replay shape.
-        let task = match rng.random_range(0..3usize) {
+        let task = match rng.random_range(0..5usize) {
             0 => AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::LinearFraction(
                 [0.1, 0.3, 0.6][rng.random_range(0..3usize)],
             ))),
@@ -279,10 +294,15 @@ fn checkpointed_delta_reaudits_match_fresh_audits_at_every_cadence() {
                     OverRepScope::MostGeneral
                 },
             },
-            _ => AuditTask::Combined {
+            2 => AuditTask::Combined {
                 lower: Bounds::LinearFraction(0.25),
                 upper: Bounds::LinearFraction(0.5),
             },
+            3 => AuditTask::UnderRep(BiasMeasure::GlobalLower(random_bounds(&mut rng, rows))),
+            // A repair that lowers counts must move `k̃` flips earlier.
+            _ => AuditTask::UnderRep(BiasMeasure::Proportional {
+                alpha: [0.5, 0.8, 1.2][rng.random_range(0..3usize)],
+            }),
         };
         let mut monitor = MonitorAudit::builder(ds, "score")
             .checkpoint_every(cadence)
@@ -357,6 +377,99 @@ fn checkpointed_delta_reaudits_match_fresh_audits_at_every_cadence() {
         assert!(stats.repairs > 0, "case {case}: {stats:?}");
         assert!(stats.cold_builds >= 2, "case {case}: {stats:?}");
         assert!(stats.invalidated > 0, "case {case}: {stats:?}");
+    }
+}
+
+/// Global lower bounds that step **down** as well as up, in every mode
+/// that crosses a bound step: the batch run, the stream, and checkpointed
+/// monitor replays (seek, in-place repair, segmented replay) after edit
+/// batches. Each must equal the full-enumeration oracle on the current
+/// data at every `k`.
+#[test]
+fn mixed_direction_lower_steps_match_the_oracle_in_batch_stream_and_replay() {
+    let mut rng = StdRng::seed_from_u64(0x57E9);
+    for case in 0..40usize {
+        let rows = rng.random_range(12..36usize);
+        let mut ds = random_dataset(
+            rng.random::<u64>() % 100_000,
+            RandomSpec {
+                rows,
+                attrs: rng.random_range(2..4usize),
+                max_card: 3,
+            },
+        );
+        let scores: Vec<f64> = (0..rows)
+            .map(|_| rng.random_range(0..8usize) as f64)
+            .collect();
+        ds.push_column(rankfair::data::Column::numeric("score", scores))
+            .unwrap();
+        let tau = rng.random_range(0..4usize);
+        let cfg = DetectConfig::new(tau, 1, rows);
+        let measure = BiasMeasure::GlobalLower(mixed_steps(&mut rng, rows));
+        let task = AuditTask::UnderRep(measure.clone());
+        let oracle_under = |ds: &Dataset, ranking: &Ranking| -> Vec<(usize, Vec<Pattern>)> {
+            let audit = Audit::builder(Arc::new(ds.clone()))
+                .ranking(ranking.clone())
+                .build()
+                .unwrap();
+            oracle::detect(ds, audit.space(), ranking, tau, 1, rows, &measure)
+                .into_iter()
+                .map(|kr| (kr.k, kr.patterns))
+                .collect()
+        };
+        let under = |per_k: &[AuditKResult]| -> Vec<(usize, Vec<Pattern>)> {
+            per_k.iter().map(|kr| (kr.k, kr.under.clone())).collect()
+        };
+
+        let mut monitor = MonitorAudit::builder(ds, "score")
+            .checkpoint_every([1usize, 2, 5][case % 3])
+            .build(cfg.clone(), task.clone(), Engine::Optimized)
+            .unwrap();
+        let audit = Audit::builder(Arc::new(monitor.dataset().clone()))
+            .ranking(monitor.ranking())
+            .build()
+            .unwrap();
+        let want = oracle_under(monitor.dataset(), &monitor.ranking());
+        let batch = audit.run(&cfg, &task, Engine::Optimized).unwrap();
+        assert_eq!(under(&batch.per_k), want, "case {case}: batch");
+        assert_eq!(batch.stats.full_searches, 1, "case {case}: batch rebuilt");
+        let streamed: Vec<AuditKResult> = audit.run_streaming(&cfg, &task).unwrap().collect();
+        assert_eq!(under(&streamed), want, "case {case}: stream");
+        assert_eq!(
+            under(monitor.results()),
+            want,
+            "case {case}: initial replay"
+        );
+
+        for batch_no in 0..4 {
+            let n = monitor.n_rows();
+            // Alternate a top-of-ranking strike (every checkpoint is
+            // swallowed and the seek snapshot repaired in place) with a
+            // deep reorder (plain seek plus segmented replay).
+            let pos = if batch_no % 2 == 0 {
+                0
+            } else {
+                rng.random_range(n / 2..n)
+            };
+            let edit = RankingEdit::ScoreUpdate {
+                row: monitor.ranking().at(pos),
+                score: if pos == 0 {
+                    -1.0 - batch_no as f64
+                } else {
+                    rng.random_range(0..8usize) as f64
+                },
+            };
+            monitor.apply(&[edit]).unwrap();
+            let want = oracle_under(monitor.dataset(), &monitor.ranking());
+            assert_eq!(
+                under(monitor.results()),
+                want,
+                "case {case} batch {batch_no}: replay"
+            );
+        }
+        let stats = monitor.checkpoint_stats().unwrap();
+        assert!(stats.repairs > 0, "case {case}: {stats:?}");
+        assert_eq!(stats.cold_builds, 1, "case {case}: {stats:?}");
     }
 }
 
