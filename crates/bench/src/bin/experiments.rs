@@ -15,7 +15,8 @@
 //! testbed, synthetic vs. real data); the reproduced claims are the curve
 //! *shapes*: optimized ≪ baseline, gaps widening with attribute count and
 //! k-range, runtime decreasing in τs, and the qualitative content of the
-//! Shapley analysis and case study. See EXPERIMENTS.md.
+//! Shapley analysis and case study. See the README section "Reproducing
+//! the paper's evaluation".
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -579,13 +579,11 @@ pub fn monitor(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `rankfair serve` — answer JSONL requests from stdin on stdout until
-/// EOF, on a worker pool. See `rankfair_service::wire` for the protocol.
-pub fn serve(flags: &Flags) -> Result<(), CliError> {
-    let workers: usize = flags.num("workers", 1)?;
+/// The service both `serve` front-ends start from: the Figure 1 example
+/// dataset preloaded as `fig1` (so sessions and the golden-file CI check
+/// work without any CSV on disk), plus every `--datasets name=path` CSV.
+fn preloaded_service(flags: &Flags) -> Result<AuditService, CliError> {
     let service = AuditService::new();
-    // The Figure 1 example dataset ships preloaded so sessions (and the
-    // golden-file CI check) work without any CSV on disk.
     service.register_dataset("fig1", Arc::new(rankfair_data::examples::students_fig1()));
     if let Some(specs) = flags.list("datasets") {
         for spec in specs {
@@ -596,6 +594,14 @@ pub fn serve(flags: &Flags) -> Result<(), CliError> {
             eprintln!("[loaded {name} from {path}: {rows} rows, {cols} cols]");
         }
     }
+    Ok(service)
+}
+
+/// `rankfair serve` — answer JSONL requests from stdin on stdout until
+/// EOF, on a worker pool. See `rankfair_service::wire` for the protocol.
+pub fn serve(flags: &Flags) -> Result<(), CliError> {
+    let workers: usize = flags.num("workers", 1)?;
+    let service = preloaded_service(flags)?;
     let opts = ServeOptions {
         workers,
         strip_timing: flags.switch("no-timing"),
@@ -623,18 +629,7 @@ pub fn serve(flags: &Flags) -> Result<(), CliError> {
 /// server. See `rankfair_service::net`.
 pub fn serve_net(flags: &Flags) -> Result<(), CliError> {
     let workers: usize = flags.num("workers", 4)?;
-    let service = AuditService::new();
-    // Same preload as `serve`: sessions work without any CSV on disk.
-    service.register_dataset("fig1", Arc::new(rankfair_data::examples::students_fig1()));
-    if let Some(specs) = flags.list("datasets") {
-        for spec in specs {
-            let (name, path) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("--datasets entry `{spec}` must look like name=path"))?;
-            let (rows, cols) = service.register_csv(name, path, ',').map_err(rt)?;
-            eprintln!("[loaded {name} from {path}: {rows} rows, {cols} cols]");
-        }
-    }
+    let service = preloaded_service(flags)?;
     let listens = flags
         .list("listen")
         .unwrap_or_else(|| vec!["tcp:127.0.0.1:7878".to_string()]);

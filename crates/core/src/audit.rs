@@ -55,9 +55,7 @@ use crate::pattern::Pattern;
 use crate::report::{summarize_audit, KReport};
 use crate::shard::ShardedIndex;
 use crate::space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
-use crate::stats::{
-    DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
-};
+use crate::stats::{DetectConfig, DetectionOutput, ReplayCounters, SearchStats};
 use crate::topdown;
 use crate::tree::{self, Store, Stream};
 use crate::upper_engine::{self, Upper};
@@ -231,22 +229,6 @@ impl AuditOutcome {
             .iter()
             .map(|r| r.under.len() + r.over.len())
             .sum()
-    }
-
-    /// The under-representation side as a classic [`DetectionOutput`]
-    /// (what the deprecated `Detector` methods returned).
-    pub fn detection_output(&self) -> DetectionOutput {
-        DetectionOutput {
-            per_k: self
-                .per_k
-                .iter()
-                .map(|r| KResult {
-                    k: r.k,
-                    patterns: r.under.clone(),
-                })
-                .collect(),
-            stats: self.stats.clone(),
-        }
     }
 }
 
@@ -961,69 +943,26 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         if engine_sel == Engine::Optimized {
             return upper_engine::upper_incremental(self.index, self.space, cfg, upper, scope);
         }
-        // The guard starts before the substantial-set enumeration so that
-        // time counts against the budget; within each per-`k` scan it is
-        // polled per pattern, so a deadline overrun is bounded by one
-        // naive count, not by a whole `k` value (tens of seconds on the
-        // larger benches).
-        let mut guard = DeadlineGuard::new(cfg.deadline);
-        let mut stats = SearchStats::default();
-        let mut per_k = Vec::with_capacity(cfg.range_len());
-        // The substantial set depends only on τs, not on k: enumerate once
-        // per run for the brute-force baseline.
-        let substantial =
-            oracle::enumerate_substantial(self.dataset, self.space, self.ranking, cfg.tau_s);
-        stats.nodes_evaluated += substantial.len() as u64;
-        for k in cfg.k_min..=cfg.k_max {
-            stats.full_searches += 1;
-            match self.oracle_over(&substantial, k, upper.at(k), scope, &mut guard) {
-                Some(patterns) => per_k.push(KResult { k, patterns }),
-                None => {
-                    stats.timed_out = true;
-                    break;
-                }
-            }
-        }
-        stats.elapsed = guard.elapsed();
-        DetectionOutput { per_k, stats }
-    }
-
-    /// Brute-force over-representation baseline on a different code path
-    /// from the optimized searches: naive row-scan counting over the
-    /// pre-enumerated substantial patterns, then a quadratic
-    /// maximality/minimality filter. Returns `None` on deadline expiry.
-    fn oracle_over(
-        &self,
-        substantial: &[Pattern],
-        k: usize,
-        u: usize,
-        scope: OverRepScope,
-        guard: &mut DeadlineGuard,
-    ) -> Option<Vec<Pattern>> {
-        let mut qualifying: Vec<&Pattern> = Vec::new();
-        for p in substantial {
-            if guard.expired() {
-                return None;
-            }
-            if oracle::naive_counts(self.dataset, self.space, self.ranking, p, k).1 > u {
-                qualifying.push(p);
-            }
-        }
-        let mut out: Vec<Pattern> = Vec::new();
-        for p in &qualifying {
-            if guard.expired() {
-                return None;
-            }
-            let dominated = match scope {
-                OverRepScope::MostSpecific => qualifying.iter().any(|q| p.is_proper_subset_of(q)),
-                OverRepScope::MostGeneral => qualifying.iter().any(|q| q.is_proper_subset_of(p)),
-            };
-            if !dominated {
-                out.push((*p).clone());
-            }
-        }
-        out.sort_unstable();
-        Some(out)
+        // Brute force, on a different code path from the optimized
+        // searches. The substantial set depends only on τs, so the first
+        // `k` enumerates it once per run, inside the runner's guard so
+        // that time counts against the budget. Within each `k` the guard
+        // is polled per pattern: a deadline overrun is bounded by one
+        // naive count, not by a whole `k` value.
+        let (ds, space, ranking) = (self.dataset, self.space, self.ranking);
+        let mut substantial: Option<Vec<Pattern>> = None;
+        topdown::run_range(cfg, |k, stats, guard| {
+            let substantial = substantial.get_or_insert_with(|| {
+                let all = oracle::enumerate_substantial(ds, space, ranking, cfg.tau_s);
+                stats.nodes_evaluated += all.len() as u64;
+                all
+            });
+            let u = upper.at(k);
+            let over = |count| count > u;
+            oracle::extremal(ds, space, ranking, substantial, k, over, scope, || {
+                guard.expired()
+            })
+        })
     }
 }
 
@@ -1327,11 +1266,6 @@ mod tests {
             let a = seq.run(&cfg, task, Engine::Optimized).unwrap();
             let b = par.run(&cfg, task, Engine::Optimized).unwrap();
             assert_eq!(a.per_k, b.per_k, "{task:?}");
-            assert_eq!(
-                a.detection_output().per_k,
-                b.detection_output().per_k,
-                "{task:?}"
-            );
         }
     }
 

@@ -27,8 +27,11 @@
 //! [`Frontier::reclassify`] pass that repairs a checkpoint.
 //!
 //! The over-representation side is the [`crate::upper_engine::Upper`]
-//! policy over the same tree; the per-`k` searches in [`crate::upper`]
-//! remain its differential anchor.
+//! policy over the same tree. The per-`k` search core in `topdown.rs`
+//! (Algorithm 1's breadth-first search behind `IterTD`, and the
+//! depth-first most-specific search behind the §III variants in
+//! [`crate::upper`]) recomputes each `k` from scratch, independently of
+//! the tree, and is what both policies are checked against.
 
 use std::collections::VecDeque;
 

@@ -94,11 +94,9 @@ pub use monitor::{
 };
 pub use pattern::Pattern;
 pub use report::{
-    render_report, render_report_csv, summarize, summarize_audit, BiasDirection, BiasedGroup,
-    KReport,
+    render_report, render_report_csv, summarize_audit, BiasDirection, BiasedGroup, KReport,
 };
 pub use shard::ShardedIndex;
 pub use space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
 pub use stats::{DetectConfig, DetectionOutput, KResult, SearchStats};
 pub use suggest::suggest_tau;
-pub use topdown::top_down_single_k;

@@ -319,10 +319,11 @@ impl MonitorBuilder {
 
     /// Sets the checkpoint cadence `C` (clamped to ≥ 1; default
     /// [`MonitorAudit::DEFAULT_CHECKPOINT_CADENCE`]): the optimized
-    /// engines snapshot their search state every `C` values of `k`, so a
-    /// delta re-audit replays at most `C − 1` extra `k` steps to reach
-    /// its span — at the cost of `⌈k_max / C⌉` stored node stores.
-    /// Smaller `C` = faster deltas, more memory.
+    /// engines snapshot their search state every `C` values of `k` (the
+    /// grid `k ≡ k_min (mod C)` over `[k_min, k_max]`), so a delta
+    /// re-audit replays at most `C − 1` extra `k` steps to reach its
+    /// span — at the cost of `⌊(k_max − k_min) / C⌋ + 1` snapshots per
+    /// direction. Smaller `C` = faster deltas, more memory.
     pub fn checkpoint_every(mut self, cadence: usize) -> Self {
         self.checkpoint_every = cadence.max(1);
         self

@@ -10,6 +10,7 @@
 use rankfair_data::Dataset;
 use rankfair_rank::Ranking;
 
+use crate::audit::OverRepScope;
 use crate::bounds::BiasMeasure;
 use crate::pattern::Pattern;
 use crate::space::{AttrId, PatternSpace};
@@ -93,6 +94,52 @@ pub fn detect(
         per_k.push(KResult { k, patterns });
     }
     per_k
+}
+
+/// Reference §III answer at one `k`: the patterns of `substantial` (the
+/// output of [`enumerate_substantial`]) whose top-`k` count satisfies
+/// `flagged`, reduced by a quadratic filter to the most specific or the
+/// most general ones as `scope` says. With `flagged = s_Rk > U_k` this is
+/// the over-representation brute force behind `Engine::Baseline`.
+///
+/// `expired` is polled once per pattern in each pass, so a caller's
+/// deadline overrun is bounded by one naive count; `None` once it
+/// reports `true`.
+#[allow(clippy::too_many_arguments)]
+pub fn extremal(
+    ds: &Dataset,
+    space: &PatternSpace,
+    ranking: &Ranking,
+    substantial: &[Pattern],
+    k: usize,
+    flagged: impl Fn(usize) -> bool,
+    scope: OverRepScope,
+    mut expired: impl FnMut() -> bool,
+) -> Option<Vec<Pattern>> {
+    let mut hits: Vec<&Pattern> = Vec::new();
+    for p in substantial {
+        if expired() {
+            return None;
+        }
+        if flagged(naive_counts(ds, space, ranking, p, k).1) {
+            hits.push(p);
+        }
+    }
+    let mut out: Vec<Pattern> = Vec::new();
+    for p in &hits {
+        if expired() {
+            return None;
+        }
+        let dominated = match scope {
+            OverRepScope::MostSpecific => hits.iter().any(|q| p.is_proper_subset_of(q)),
+            OverRepScope::MostGeneral => hits.iter().any(|q| q.is_proper_subset_of(p)),
+        };
+        if !dominated {
+            out.push((*p).clone());
+        }
+    }
+    out.sort_unstable();
+    Some(out)
 }
 
 #[cfg(test)]

@@ -5,10 +5,8 @@
 //! their representation”).
 
 use crate::audit::{AuditOutcome, AuditTask};
-use crate::bounds::BiasMeasure;
 use crate::pattern::Pattern;
 use crate::space::{CountsProvider, PatternSpace};
-use crate::stats::DetectionOutput;
 
 /// Which bound a reported group violates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,45 +57,6 @@ pub struct KReport {
     pub k: usize,
     /// Groups sorted by bias gap (largest first), ties by size.
     pub groups: Vec<BiasedGroup>,
-}
-
-/// Enriches a detection output into per-`k` reports.
-pub fn summarize<I: CountsProvider>(
-    out: &DetectionOutput,
-    index: &I,
-    space: &PatternSpace,
-    measure: &BiasMeasure,
-) -> Vec<KReport> {
-    out.per_k
-        .iter()
-        .map(|kr| {
-            let mut groups: Vec<BiasedGroup> = kr
-                .patterns
-                .iter()
-                .map(|p| {
-                    let (sd, count) = index.counts(p, kr.k);
-                    let required = measure.required(sd, kr.k, index.n());
-                    BiasedGroup {
-                        pattern: p.clone(),
-                        display: space.display(p),
-                        direction: BiasDirection::Under,
-                        size_in_data: sd,
-                        size_in_topk: count,
-                        required,
-                        bias_gap: required - count as f64,
-                    }
-                })
-                .collect();
-            groups.sort_by(|a, b| {
-                b.bias_gap
-                    .partial_cmp(&a.bias_gap)
-                    .expect("gaps are finite")
-                    .then(b.size_in_data.cmp(&a.size_in_data))
-                    .then(a.display.cmp(&b.display))
-            });
-            KReport { k: kr.k, groups }
-        })
-        .collect()
 }
 
 /// Enriches an [`AuditOutcome`] into per-`k` reports covering **both**
@@ -216,28 +175,29 @@ pub fn render_report(reports: &[KReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::Bounds;
-    use crate::engine::global_bounds;
-    use crate::space::RankedIndex;
+    use crate::audit::{Audit, Engine};
+    use crate::bounds::{BiasMeasure, Bounds};
     use crate::stats::DetectConfig;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
+    use std::sync::Arc;
 
-    fn setup() -> (PatternSpace, RankedIndex, DetectionOutput, BiasMeasure) {
-        let ds = students_fig1();
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
+    /// Per-`k` reports of the Figure 1 under-representation audit
+    /// (`τs = 4`, `k ∈ [4, 5]`, `L = 2`).
+    pub(super) fn fig1_reports() -> Vec<KReport> {
+        let audit = Audit::builder(Arc::new(students_fig1()))
+            .ranking(Ranking::from_order(fig1_rank_order()).unwrap())
+            .build()
+            .unwrap();
         let cfg = DetectConfig::new(4, 4, 5);
-        let bounds = Bounds::constant(2);
-        let out = global_bounds(&index, &space, &cfg, &bounds);
-        (space, index, out, BiasMeasure::GlobalLower(bounds))
+        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(2)));
+        let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
+        summarize_audit(&out, audit.index(), audit.space(), &task)
     }
 
     #[test]
     fn summary_contains_sizes_and_gaps() {
-        let (space, index, out, measure) = setup();
-        let reports = summarize(&out, &index, &space, &measure);
+        let reports = fig1_reports();
         assert_eq!(reports.len(), 2);
         let k4 = &reports[0];
         assert_eq!(k4.k, 4);
@@ -254,8 +214,7 @@ mod tests {
 
     #[test]
     fn groups_sorted_by_gap_desc() {
-        let (space, index, out, measure) = setup();
-        let reports = summarize(&out, &index, &space, &measure);
+        let reports = fig1_reports();
         for r in &reports {
             for w in r.groups.windows(2) {
                 assert!(w[0].bias_gap >= w[1].bias_gap);
@@ -265,8 +224,7 @@ mod tests {
 
     #[test]
     fn render_is_nonempty_and_mentions_k() {
-        let (space, index, out, measure) = setup();
-        let text = render_report(&summarize(&out, &index, &space, &measure));
+        let text = render_report(&fig1_reports());
         assert!(text.contains("k = 4"));
         assert!(text.contains("{School=GP}"));
         assert!(text.contains("required"));
@@ -311,24 +269,12 @@ pub fn render_report_csv(reports: &[KReport]) -> String {
 
 #[cfg(test)]
 mod csv_tests {
+    use super::tests::fig1_reports;
     use super::*;
-    use crate::bounds::{BiasMeasure, Bounds};
-    use crate::engine::global_bounds;
-    use crate::space::{PatternSpace, RankedIndex};
-    use crate::stats::DetectConfig;
-    use rankfair_data::examples::{fig1_rank_order, students_fig1};
-    use rankfair_rank::Ranking;
 
     #[test]
     fn csv_has_header_and_quoted_groups() {
-        let ds = students_fig1();
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
-        let cfg = DetectConfig::new(4, 4, 5);
-        let bounds = Bounds::constant(2);
-        let out = global_bounds(&index, &space, &cfg, &bounds);
-        let reports = summarize(&out, &index, &space, &BiasMeasure::GlobalLower(bounds));
+        let reports = fig1_reports();
         let csv = render_report_csv(&reports);
         let mut lines = csv.lines();
         assert_eq!(

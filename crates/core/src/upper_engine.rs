@@ -1,11 +1,13 @@
 //! The upper frontier policy: §III over-representation detection without
 //! the per-`k` rescan.
 //!
-//! The per-`k` searches in [`crate::upper`] re-run a fresh DFS plus
-//! `O(m·card)` maximality probes at **every** `k` — exactly the cost
-//! blow-up the paper's Algorithms 2–3 eliminate for the lower-bound
-//! problems. This policy maintains the answer over the same incremental
-//! [`PatternTree`] as the lower one.
+//! The per-`k` rescan ([`crate::upper::upper_most_specific`], one
+//! instantiation of the depth-first most-specific search in `topdown.rs`)
+//! re-runs a fresh DFS plus `O(m·card)` maximality probes at **every**
+//! `k` — exactly the cost blow-up the paper's Algorithms 2–3 eliminate
+//! for the lower-bound problems. This policy maintains the answer over
+//! the same incremental [`PatternTree`] as the lower one; the rescan
+//! stays as the tree-independent reference it is checked against.
 //!
 //! Qualification here is `s_D(p) ≥ τs ∧ s_Rk(p) > U_k`, which is
 //! **subset-closed**: both counts are anti-monotone in specialization, so
@@ -336,26 +338,29 @@ mod tests {
     use super::*;
     use crate::stats::SearchStats;
     use crate::tree::tests::{fig1, seeks_checkpoints, segmented_spans, upper_cases};
-    use crate::upper::{upper_most_general_single_k, upper_most_specific_single_k};
+    use crate::upper::{upper_most_general_single_k, upper_most_specific};
 
     #[test]
     fn incremental_matches_per_k_search_on_fig1() {
         let (space, index) = fig1();
         for tau in [1, 2, 4] {
             for u in [0, 1, 2, 4] {
+                let cfg = DetectConfig::new(tau, 2, 16);
+                let bounds = Bounds::constant(u);
+                let rescan = upper_most_specific(&index, &space, &cfg, &bounds).per_k;
                 for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
-                    let cfg = DetectConfig::new(tau, 2, 16);
-                    let per_k =
-                        upper_incremental(&index, &space, &cfg, &Bounds::constant(u), scope).per_k;
+                    let per_k = upper_incremental(&index, &space, &cfg, &bounds, scope).per_k;
                     assert_eq!(per_k.len(), 15);
-                    for kr in &per_k {
-                        let mut stats = SearchStats::default();
+                    for (kr, specific) in per_k.iter().zip(&rescan) {
                         let want = match scope {
-                            OverRepScope::MostSpecific => upper_most_specific_single_k(
-                                &index, &space, tau, kr.k, u, &mut stats,
-                            ),
+                            OverRepScope::MostSpecific => specific.patterns.clone(),
                             OverRepScope::MostGeneral => upper_most_general_single_k(
-                                &index, &space, tau, kr.k, u, &mut stats,
+                                &index,
+                                &space,
+                                tau,
+                                kr.k,
+                                u,
+                                &mut SearchStats::default(),
                             ),
                         };
                         assert_eq!(kr.patterns, want, "tau={tau} u={u} k={} {scope:?}", kr.k);
@@ -374,30 +379,20 @@ mod tests {
         let cfg = DetectConfig::new(2, 2, 16);
         let per_k =
             upper_incremental(&index, &space, &cfg, &bounds, OverRepScope::MostSpecific).per_k;
-        for kr in &per_k {
-            let mut stats = SearchStats::default();
-            let want =
-                upper_most_specific_single_k(&index, &space, 2, kr.k, bounds.at(kr.k), &mut stats);
-            assert_eq!(kr.patterns, want, "k={}", kr.k);
-        }
+        assert_eq!(
+            per_k,
+            upper_most_specific(&index, &space, &cfg, &bounds).per_k
+        );
     }
 
     #[test]
     fn incremental_evaluates_fewer_nodes_than_per_k_rescan() {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
-        let inc_stats = upper_incremental(
-            &index,
-            &space,
-            &cfg,
-            &Bounds::constant(2),
-            OverRepScope::MostSpecific,
-        )
-        .stats;
-        let mut rescan = SearchStats::default();
-        for k in 2..=16 {
-            upper_most_specific_single_k(&index, &space, 2, k, 2, &mut rescan);
-        }
+        let bounds = Bounds::constant(2);
+        let inc_stats =
+            upper_incremental(&index, &space, &cfg, &bounds, OverRepScope::MostSpecific).stats;
+        let rescan = upper_most_specific(&index, &space, &cfg, &bounds).stats;
         assert!(
             inc_stats.nodes_evaluated < rescan.nodes_evaluated,
             "incremental {} >= rescan {}",

@@ -31,8 +31,13 @@ fn under(audit: &Audit, cfg: &DetectConfig, measure: &BiasMeasure, engine: Engin
     audit
         .run(cfg, &AuditTask::UnderRep(measure.clone()), engine)
         .unwrap()
-        .detection_output()
         .per_k
+        .into_iter()
+        .map(|r| KResult {
+            k: r.k,
+            patterns: r.under,
+        })
+        .collect()
 }
 
 #[test]

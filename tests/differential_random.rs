@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use rankfair::core::{
-    oracle, Audit, AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine,
-    MonitorAudit, OverRepScope, Pattern, PatternSpace, RankingEdit,
+    oracle, upper, Audit, AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine,
+    MonitorAudit, OverRepScope, Pattern, PatternSpace, RankingEdit, SearchStats,
 };
 use rankfair::data::{Dataset, RowValue};
 use rankfair::rank::Ranking;
@@ -243,6 +243,55 @@ fn engines_agree_with_each_other_and_the_oracle_on_random_instances() {
                 }
                 AuditTask::Combined { .. } => {} // both sides checked above
             }
+        }
+    }
+}
+
+/// The §III per-`k` searches of `upper` against brute force on random
+/// instances (tied scores included), with drawn `τs`, `k` range and
+/// bounds: at every `k` of the range, the per-`k` rescan
+/// `upper_most_specific` and `upper_most_general_single_k` must equal the
+/// cartesian [`oracle_over_full`] in their scope, and
+/// `lower_most_specific_single_k` must equal the maximal biased patterns
+/// of a filter over the enumerated substantial set.
+#[test]
+fn per_k_searches_match_the_oracle_on_random_instances() {
+    let mut rng = StdRng::seed_from_u64(0x5EA2C4);
+    for case in 0..40 {
+        let (audit, rows) = random_audit(&mut rng);
+        let (ds, space, ranking) = (audit.dataset(), audit.space(), audit.ranking());
+        let tau = [0, 1, rng.random_range(1..8usize), rows + 1][rng.random_range(0..4usize)];
+        let k_max = rng.random_range(1..=rows);
+        let cfg = DetectConfig::new(tau, rng.random_range(1..=k_max), k_max);
+        let (lower, upper) = (random_bounds(&mut rng, rows), random_bounds(&mut rng, rows));
+        let rescan = upper::upper_most_specific(audit.index(), space, &cfg, &upper);
+        assert_eq!(rescan.per_k.len(), cfg.range_len(), "case {case}");
+        let substantial = oracle::enumerate_substantial(ds, space, ranking, tau);
+        let mut stats = SearchStats::default();
+        for kr in &rescan.per_k {
+            let (k, u, l) = (kr.k, upper.at(kr.k), lower.at(kr.k));
+            let label = format!("case {case}: tau={tau} k={k} u={u} l={l}");
+            let specific =
+                oracle_over_full(ds, space, ranking, tau, k, u, OverRepScope::MostSpecific);
+            assert_eq!(kr.patterns, specific, "{label}: most specific over");
+            let general =
+                oracle_over_full(ds, space, ranking, tau, k, u, OverRepScope::MostGeneral);
+            let got =
+                upper::upper_most_general_single_k(audit.index(), space, tau, k, u, &mut stats);
+            assert_eq!(got, general, "{label}: most general over");
+            let biased: Vec<&Pattern> = substantial
+                .iter()
+                .filter(|p| oracle::naive_counts(ds, space, ranking, p, k).1 < l)
+                .collect();
+            let mut want: Vec<Pattern> = biased
+                .iter()
+                .filter(|p| !biased.iter().any(|q| p.is_proper_subset_of(q)))
+                .map(|p| (*p).clone())
+                .collect();
+            want.sort_unstable();
+            let got =
+                upper::lower_most_specific_single_k(audit.index(), space, tau, k, l, &mut stats);
+            assert_eq!(got, want, "{label}: most specific under");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! ranking → detection → explanation) on all three paper workloads,
 //! through the owned `Audit` API.
 
-use rankfair::core::{render_report, KResult};
+use rankfair::core::render_report;
 use rankfair::explain::distribution::compare_distributions;
 use rankfair::prelude::*;
 
@@ -232,9 +232,6 @@ fn multithreaded_run_is_byte_identical_on_workload() {
         let a = seq.run(&cfg, &task, Engine::Optimized).unwrap();
         let b = par.run(&cfg, &task, Engine::Optimized).unwrap();
         assert_eq!(a.per_k, b.per_k);
-        let a_dets: Vec<KResult> = a.detection_output().per_k;
-        let b_dets: Vec<KResult> = b.detection_output().per_k;
-        assert_eq!(a_dets, b_dets);
     }
 }
 
