@@ -317,6 +317,23 @@ impl CountsProvider for AuditIndex {
     fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
         AuditIndex::prefix_count(self, p, k)
     }
+
+    /// The single index answers with its batched kernel; the sharded one
+    /// keeps the per-pattern default, so the sharded ≡ unsharded
+    /// differentials compare the two.
+    fn child_counts(
+        &self,
+        space: &PatternSpace,
+        parent: &Pattern,
+        k: usize,
+        scratch: &mut Vec<u64>,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        match self {
+            AuditIndex::Single(i) => i.child_counts(space, parent, k, scratch, out),
+            AuditIndex::Sharded(i) => i.child_counts(space, parent, k, scratch, out),
+        }
+    }
 }
 
 type PrepareHook = Box<dyn FnOnce(&mut Dataset) -> Result<(), String>>;

@@ -126,8 +126,8 @@ impl Frontier for Lower {
 
     /// Full top-down build at `k_min`. Breadth-first so dominance sees
     /// subsets before supersets. With a populated arena the whole pass
-    /// runs on prefix recounts — fresh fused evaluations happen only for
-    /// never-seen patterns.
+    /// runs on prefix recounts — fresh (batched child-count) evaluations
+    /// happen only for never-seen patterns.
     fn build<I: CountsProvider>(
         t: &mut PatternTree<'_, I, Self>,
         k: usize,

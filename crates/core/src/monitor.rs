@@ -54,7 +54,7 @@
 //! Step 3 then *seeks* to the checkpoint at or below each recompute
 //! segment and replays forward with per-`k` subtree walks, re-activating
 //! stored arena nodes with prefix-only recounts (the stored `s_D` makes
-//! the full fused scan redundant), instead of paying the from-scratch
+//! a fresh full count redundant), instead of paying the from-scratch
 //! top-down build at the segment's first `k` that used to dominate delta
 //! cost. A checkpoint is exact after a reorder whenever no moved row's
 //! net movement interval covers its `k` (stored counts are functions of
@@ -289,7 +289,7 @@ pub struct CheckpointStats {
     /// catch-up steps and requested `k`s alike) — the total replay work.
     pub replayed_steps: u64,
     /// Node activations served by the arena's stored `s_D` plus a
-    /// truncated prefix-only recount, instead of a full fused scan.
+    /// truncated prefix-only recount, instead of a fresh full count.
     pub prefix_recounts: u64,
     /// Replay segments driven (per engine direction) — with segmented
     /// replay a sparse batch contributes its changed-`k` clusters only.

@@ -39,12 +39,15 @@ impl std::error::Error for SpaceError {}
 /// The count surface the detection engines consume.
 ///
 /// Everything in the lower and upper engines reaches the data through
-/// three primitives — the universe size, the fused `(s_D, s_Rk)` count,
-/// and the value of an attribute at a rank position — so any provider
-/// implementing them runs the same algorithms unchanged: the single
-/// [`RankedIndex`], the sharded additive merge of
+/// three required primitives — the universe size, the fused
+/// `(s_D, s_Rk)` count, and the value of an attribute at a rank position
+/// — so any provider implementing them runs the same algorithms
+/// unchanged: the single [`RankedIndex`], the sharded additive merge of
 /// [`ShardedIndex`](crate::ShardedIndex), or the
-/// [`AuditIndex`](crate::AuditIndex) dispatching between them.
+/// [`AuditIndex`](crate::AuditIndex) dispatching between them. The
+/// provided methods derive from those three; a provider overrides one
+/// when it can answer faster ([`RankedIndex`] overrides the prefix-only
+/// recount and the batched [`CountsProvider::child_counts`]).
 pub trait CountsProvider: Sync {
     /// Number of tuples.
     fn n(&self) -> usize;
@@ -74,6 +77,35 @@ pub trait CountsProvider: Sync {
     /// Whether the tuple at rank position `pos` satisfies `p`.
     fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
         p.matches(|a| self.code_at(pos, a))
+    }
+
+    /// `(s_D, s_Rk)` for every search-tree child `parent ∪ {a = v}`
+    /// (Definition 4.1: `a > max_attr(parent)`) in one call, written to
+    /// `out` in the tree's (attribute, value) child order — the child
+    /// `(a, v)` lands at slot `Σ_{start≤b<a} card(b) + v`, where `start`
+    /// is the first attribute past the parent's. With the empty parent
+    /// the children are the level-1 patterns.
+    ///
+    /// `scratch` is a caller-owned buffer a provider may use for the
+    /// parent's materialized bitmap, so steady-state calls do not
+    /// allocate. The default counts each child separately with
+    /// [`CountsProvider::counts`].
+    fn child_counts(
+        &self,
+        space: &PatternSpace,
+        parent: &Pattern,
+        k: usize,
+        scratch: &mut Vec<u64>,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let _ = scratch;
+        out.clear();
+        let start = parent.max_attr().map_or(0, |a| a + 1);
+        for a in start..space.attr_ids().end {
+            for v in space.value_codes(a) {
+                out.push(self.counts(&parent.child(a, v), k));
+            }
+        }
     }
 }
 
@@ -234,7 +266,10 @@ impl PatternSpace {
 /// * `s_D(pattern)` = popcount of the AND of the term bitmaps,
 /// * `s_Rk(pattern)` = popcount of the same AND over the first `k` bits,
 ///
-/// both computed by one fused pass ([`RankedIndex::counts`]); and the tuple
+/// both computed by one fused pass ([`RankedIndex::counts`]) for a single
+/// pattern. The search tree's fresh evaluations go through the batched
+/// [`CountsProvider::child_counts`] instead, which ANDs the parent's term
+/// bitmaps once and counts every child against that. The tuple
 /// entering the top-k when `k` grows by one is simply position `k`
 /// ([`RankedIndex::code_at`] feeds the incremental walk).
 #[derive(Debug, Clone)]
@@ -416,6 +451,94 @@ impl RankedIndex {
     pub fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
         p.matches(|a| self.code_at(pos, a))
     }
+
+    /// Materializes the AND of `parent`'s term bitmaps into `scratch` (the
+    /// universe for the empty pattern) and returns its popcount, `s_D`.
+    fn and_parent(&self, parent: &Pattern, scratch: &mut Vec<u64>) -> usize {
+        scratch.clear();
+        let mut maps = parent
+            .terms()
+            .iter()
+            .map(|&(a, v)| &self.bitmaps[usize::from(a)][usize::from(v)]);
+        let Some(first) = maps.next() else {
+            scratch.resize(self.n.div_ceil(64), !0);
+            if let Some(last) = scratch.last_mut() {
+                if !self.n.is_multiple_of(64) {
+                    *last = (1u64 << (self.n % 64)) - 1;
+                }
+            }
+            return self.n;
+        };
+        scratch.extend_from_slice(first.blocks());
+        for map in maps {
+            for (acc, &b) in scratch.iter_mut().zip(map.blocks()) {
+                *acc &= b;
+            }
+        }
+        scratch.iter().map(|b| b.count_ones() as usize).sum()
+    }
+
+    /// Sparse child counting: walks the parent's set bits once and bumps
+    /// the counter of the child each remaining attribute's code selects.
+    /// `out` must hold one zeroed slot per child of `start`.
+    fn sparse_child_counts(
+        &self,
+        parent: &[u64],
+        start: usize,
+        k: usize,
+        out: &mut [(usize, usize)],
+    ) {
+        let attrs = &self.codes[start..];
+        for (b, &word) in parent.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                let pos = b * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                let top = usize::from(pos < k);
+                let mut base = 0;
+                for (attr_codes, maps) in attrs.iter().zip(&self.bitmaps[start..]) {
+                    let slot = &mut out[base + usize::from(attr_codes[pos])];
+                    slot.0 += 1;
+                    slot.1 += top;
+                    base += maps.len();
+                }
+            }
+        }
+    }
+
+    /// Dense child counting: one AND-and-popcount (full and top-`k`
+    /// prefix) per child bitmap against the materialized parent. `out`
+    /// must hold one slot per child of `start`.
+    fn dense_child_counts(
+        &self,
+        parent: &[u64],
+        start: usize,
+        k: usize,
+        out: &mut [(usize, usize)],
+    ) {
+        fn and_ones(a: &[u64], b: &[u64]) -> usize {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum()
+        }
+        let k = k.min(self.n);
+        let (k_full, k_rem) = (k / 64, k % 64);
+        let children = self.bitmaps[start..].iter().flatten();
+        for (slot, map) in out.iter_mut().zip(children) {
+            let blocks = map.blocks();
+            let prefix = and_ones(&parent[..k_full], &blocks[..k_full]);
+            let (mut full, mut top, mut rest) = (prefix, prefix, k_full);
+            if k_rem > 0 {
+                let w = parent[k_full] & blocks[k_full];
+                full += w.count_ones() as usize;
+                top += (w & ((1u64 << k_rem) - 1)).count_ones() as usize;
+                rest += 1;
+            }
+            full += and_ones(&parent[rest..], &blocks[rest..]);
+            *slot = (full, top);
+        }
+    }
 }
 
 impl CountsProvider for RankedIndex {
@@ -433,6 +556,34 @@ impl CountsProvider for RankedIndex {
 
     fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
         RankedIndex::prefix_count(self, p, k)
+    }
+
+    /// ANDs the parent's term bitmaps once into `scratch`, then picks the
+    /// cheaper strategy: walking the parent's `s_D` rows over the
+    /// remaining attributes (sparse) when that is no more work than one
+    /// block scan per child (dense).
+    fn child_counts(
+        &self,
+        space: &PatternSpace,
+        parent: &Pattern,
+        k: usize,
+        scratch: &mut Vec<u64>,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        debug_assert_eq!(space.n_attrs(), self.bitmaps.len());
+        let start = parent.max_attr().map_or(0, |a| usize::from(a) + 1);
+        let children: usize = self.bitmaps[start..].iter().map(Vec::len).sum();
+        out.clear();
+        if children == 0 {
+            return;
+        }
+        out.resize(children, (0, 0));
+        let sd = self.and_parent(parent, scratch);
+        if sd * (self.bitmaps.len() - start) <= children * scratch.len() {
+            self.sparse_child_counts(scratch, start, k, out);
+        } else {
+            self.dense_child_counts(scratch, start, k, out);
+        }
     }
 }
 
@@ -613,6 +764,112 @@ mod tests {
                         fresh.counts(&p, k),
                         "a={a} v={v} k={k}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A provider with only the three required primitives, so its
+    /// `child_counts` is the trait's per-pattern default.
+    struct PerPattern<'a>(&'a RankedIndex);
+
+    impl CountsProvider for PerPattern<'_> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
+            self.0.counts(p, k)
+        }
+        fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
+            self.0.code_at(pos, attr)
+        }
+    }
+
+    /// Cardinalities of the random kernel indexes. Attribute 1 never
+    /// draws its last value (zero-support parents); attribute 2 has one
+    /// value (full-support parents); attribute 0 draws value 0 three
+    /// times in four, so deep parents keep some support.
+    const KERNEL_CARDS: [usize; 5] = [3, 4, 1, 2, 5];
+
+    /// A random `n`-row index over [`KERNEL_CARDS`] and its space.
+    fn random_kernel_index(seed: u64, n: usize) -> (PatternSpace, RankedIndex) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut codes = Vec::new();
+        let mut bitmaps = Vec::new();
+        for (a, &card) in KERNEL_CARDS.iter().enumerate() {
+            let mut attr_codes = Vec::with_capacity(n);
+            let mut maps = vec![Bitmap::new(n); card];
+            for pos in 0..n {
+                let v = match a {
+                    0 if rng.random_range(0..4usize) > 0 => 0,
+                    1 => rng.random_range(0..card - 1),
+                    _ => rng.random_range(0..card),
+                };
+                attr_codes.push(ValueCode::try_from(v).unwrap());
+                maps[v].set(pos);
+            }
+            codes.push(attr_codes);
+            bitmaps.push(maps);
+        }
+        let space = PatternSpace {
+            attrs: KERNEL_CARDS
+                .iter()
+                .enumerate()
+                .map(|(a, &card)| AttrInfo {
+                    name: format!("a{a}"),
+                    labels: (0..card).map(|v| v.to_string()).collect(),
+                })
+                .collect(),
+            dataset_cols: (0..KERNEL_CARDS.len()).collect(),
+        };
+        (space, RankedIndex { n, codes, bitmaps })
+    }
+
+    #[test]
+    fn child_count_strategies_match_per_child_counts() {
+        let p = |terms: &[(AttrId, ValueCode)]| Pattern::from_terms(terms.to_vec()).unwrap();
+        let parents = [
+            Pattern::empty(),                     // the universe: full support
+            p(&[(0, 0)]),                         // single term
+            p(&[(1, 3)]),                         // zero support
+            p(&[(2, 0)]),                         // full support
+            p(&[(0, 0), (1, 0), (3, 1)]),         // deep
+            p(&[(0, 1), (1, 3), (2, 0)]),         // deep, zero support
+            p(&[(0, 0), (2, 0), (3, 0), (4, 2)]), // start = m: no children
+            p(&[(4, 1)]),                         // start = m, single term
+        ];
+        for n in [1usize, 63, 64, 65, 129, 1000] {
+            for seed in 0..3u64 {
+                let (space, index) = random_kernel_index(seed * 1000 + n as u64, n);
+                let reference = PerPattern(&index);
+                let mut scratch = Vec::new();
+                let mut got = Vec::new();
+                for parent in &parents {
+                    let start = parent.max_attr().map_or(0, |a| usize::from(a) + 1);
+                    let children: usize = KERNEL_CARDS[start..].iter().sum();
+                    for k in [0, 1, 63, 64, 65, n - 1, n].into_iter().filter(|&k| k <= n) {
+                        let ctx = format!("n={n} seed={seed} parent={parent:?} k={k}");
+                        let mut want = Vec::new();
+                        reference.child_counts(&space, parent, k, &mut Vec::new(), &mut want);
+                        assert_eq!(want.len(), children, "{ctx}");
+                        // Each strategy on its own, against the
+                        // materialized parent.
+                        let sd = index.and_parent(parent, &mut scratch);
+                        assert_eq!(sd, index.counts(parent, 0).0, "{ctx}");
+                        assert_eq!(scratch.len(), n.div_ceil(64), "{ctx}");
+                        let mut sparse = vec![(0, 0); children];
+                        index.sparse_child_counts(&scratch, start, k, &mut sparse);
+                        assert_eq!(sparse, want, "sparse: {ctx}");
+                        let mut dense = vec![(usize::MAX, usize::MAX); children];
+                        index.dense_child_counts(&scratch, start, k, &mut dense);
+                        assert_eq!(dense, want, "dense: {ctx}");
+                        // The provider's own dispatch, with a scratch
+                        // buffer reused across calls.
+                        index.child_counts(&space, parent, k, &mut scratch, &mut got);
+                        assert_eq!(got, want, "RankedIndex: {ctx}");
+                    }
                 }
             }
         }

@@ -52,7 +52,9 @@ impl DetectConfig {
 /// number of patterns examined during the search”).
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
-    /// Fresh pattern evaluations (one bitmap-intersection scan each).
+    /// Pattern evaluations: one per `(s_D, s_Rk)` count — a per-pattern
+    /// bitmap scan, one child of a batched child count, or a stored
+    /// node's prefix recount.
     pub nodes_evaluated: u64,
     /// O(1) count updates performed by the incremental walk.
     pub nodes_touched: u64,
@@ -110,7 +112,7 @@ pub(crate) struct ReplayCounters {
     /// exactly the `k` work segmentation saves.
     pub replayed_steps: u64,
     /// Node activations served by the stored `s_D` plus a truncated
-    /// prefix-only recount instead of a full fused `counts(p, k)` scan.
+    /// prefix-only recount instead of a fresh full `(s_D, s_Rk)` count.
     pub prefix_recounts: u64,
     /// Replay segments driven (per engine direction). Hull replay is one
     /// segment per delta; segmented replay drives one per merged run of

@@ -44,6 +44,10 @@
 //! * [`PatternTree::reset`] keeps the arena and only clears run state, so
 //!   a replay's cold build runs on prefix recounts after the first build.
 //!
+//! Fresh nodes are created one sibling set at a time: [`PatternTree::expand`]
+//! (and [`PatternTree::activate_roots`], for the empty parent) counts every
+//! child of a node in one batched [`CountsProvider::child_counts`] call.
+//!
 //! The arena is append-only (structure is `k`- and bound-independent), so
 //! a checkpoint taken at any time stays consistent with every later arena:
 //! restoring extends the run vectors with `NOT_LIVE`/`false` for nodes
@@ -184,13 +188,19 @@ pub(crate) struct PatternTree<'a, I: CountsProvider, F> {
     card_prefix: Vec<u32>,
     pub(crate) stats: SearchStats,
     /// Activations served by a stored `s_D` plus a truncated prefix scan
-    /// instead of a full fused evaluation.
+    /// instead of a fresh evaluation.
     prefix_recounts: u64,
     /// Reused walk buffers: the DFS stack and the entering tuple's value
     /// codes. Taken/returned by the walks so a replay's per-step walks
     /// never hit the allocator.
     scratch_stack: Vec<u32>,
     scratch_codes: Vec<ValueCode>,
+    /// Reused expansion buffers for [`CountsProvider::child_counts`]: the
+    /// parent's materialized bitmap and the per-child `(s_D, s_Rk)` slots.
+    /// Tree-owned rather than index-owned because one index serves every
+    /// `k`-range thread.
+    scratch_bits: Vec<u64>,
+    scratch_counts: Vec<(usize, usize)>,
     pub(crate) frontier: F,
 }
 
@@ -226,14 +236,22 @@ impl<'a, I: CountsProvider, F: Frontier> PatternTree<'a, I, F> {
             prefix_recounts: 0,
             scratch_stack: Vec::new(),
             scratch_codes: Vec::new(),
+            scratch_bits: Vec::new(),
+            scratch_counts: Vec::new(),
             frontier,
         }
     }
 
-    /// Evaluates a fresh pattern (one fused bitmap scan), interns the node
-    /// in the arena and classifies it.
-    pub(crate) fn eval_new(&mut self, pattern: Pattern, parent: u32, k: usize) -> u32 {
-        let (sd, count) = self.index.counts(&pattern, k);
+    /// Interns a freshly counted pattern — one evaluation of a batched
+    /// [`CountsProvider::child_counts`] call — in the arena and classifies
+    /// it.
+    fn intern(
+        &mut self,
+        pattern: Pattern,
+        parent: u32,
+        (sd, count): (usize, usize),
+        k: usize,
+    ) -> u32 {
         self.stats.nodes_evaluated += 1;
         let id = u32::try_from(self.arena.nodes.len()).expect("node ids fit u32");
         let pruned = sd < self.tau_s;
@@ -278,17 +296,35 @@ impl<'a, I: CountsProvider, F: Frontier> PatternTree<'a, I, F> {
         F::on_live(self, id, k);
     }
 
-    /// Brings the level-1 nodes live: fresh evaluations on a virgin arena,
-    /// prefix recounts otherwise. Builds then start from `root_children`.
+    /// Counts every search-tree child of `parent` in one batched
+    /// [`CountsProvider::child_counts`] call and interns them in
+    /// (attribute, value) order — the tree's only fresh evaluations.
+    /// Returns the new ids.
+    fn eval_children(&mut self, parent: &Pattern, parent_id: u32, k: usize) -> Vec<u32> {
+        let mut counts = std::mem::take(&mut self.scratch_counts);
+        let mut bits = std::mem::take(&mut self.scratch_bits);
+        self.index
+            .child_counts(self.space, parent, k, &mut bits, &mut counts);
+        let start = parent.max_attr().map_or(0, |a| a + 1);
+        let base = self.card_prefix[usize::from(start)];
+        let mut children = Vec::with_capacity(counts.len());
+        for a in start..self.space.attr_ids().end {
+            for v in self.space.value_codes(a) {
+                let slot = (self.card_prefix[usize::from(a)] - base) as usize + usize::from(v);
+                children.push(self.intern(parent.child(a, v), parent_id, counts[slot], k));
+            }
+        }
+        self.scratch_counts = counts;
+        self.scratch_bits = bits;
+        children
+    }
+
+    /// Brings the level-1 nodes live: fresh evaluations (the empty
+    /// pattern's children) on a virgin arena, prefix recounts otherwise.
+    /// Builds then start from `root_children`.
     pub(crate) fn activate_roots(&mut self, k: usize) {
         if self.arena.root_children.is_empty() {
-            let m = self.space.n_attrs() as AttrId;
-            for a in 0..m {
-                for v in self.space.value_codes(a) {
-                    let id = self.eval_new(Pattern::single(a, v), ROOT, k);
-                    self.arena.root_children.push(id);
-                }
-            }
+            self.arena.root_children = self.eval_children(&Pattern::empty(), ROOT, k);
         } else {
             for i in 0..self.arena.root_children.len() {
                 self.activate(self.arena.root_children[i], k);
@@ -298,7 +334,8 @@ impl<'a, I: CountsProvider, F: Frontier> PatternTree<'a, I, F> {
 
     /// Opens `id`'s search-tree children (Definition 4.1) in the current
     /// run: stored children are re-activated with prefix recounts, a node
-    /// never expanded before generates (and fully evaluates) them fresh.
+    /// never expanded before generates them fresh, all counted in one
+    /// batched call.
     /// Returns `false` if `id` was already open this run.
     pub(crate) fn expand(&mut self, id: u32, k: usize) -> bool {
         if self.open[id as usize] {
@@ -309,20 +346,8 @@ impl<'a, I: CountsProvider, F: Frontier> PatternTree<'a, I, F> {
                 self.activate(self.arena.nodes[id as usize].children[i], k);
             }
         } else {
-            let (start, pattern) = {
-                let nd = &self.arena.nodes[id as usize];
-                (
-                    nd.pattern.max_attr().map_or(0, |a| a + 1),
-                    nd.pattern.clone(),
-                )
-            };
-            let m = self.space.n_attrs() as AttrId;
-            let mut children = Vec::new();
-            for a in start..m {
-                for v in self.space.value_codes(a) {
-                    children.push(self.eval_new(pattern.child(a, v), id, k));
-                }
-            }
+            let pattern = self.arena.nodes[id as usize].pattern.clone();
+            let children = self.eval_children(&pattern, id, k);
             let nd = &mut self.arena.nodes[id as usize];
             nd.children = children;
             nd.expanded = true;

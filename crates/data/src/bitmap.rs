@@ -5,7 +5,10 @@
 /// dataset (`s_D`) is then the popcount of the AND of its term bitmaps, and
 /// its size in the top-k (`s_Rk`) is the popcount of the same AND restricted
 /// to the first `k` bits — both computed by [`intersect_counts`] in a single
-/// fused pass, with no intermediate bitmap materialized.
+/// fused pass, with no intermediate bitmap materialized. The detection
+/// engine's batched child kernel instead materializes a parent pattern's
+/// AND once, from [`Bitmap::blocks`], and counts all of its children
+/// against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     blocks: Vec<u64>,
@@ -95,8 +98,9 @@ impl Bitmap {
         total
     }
 
-    /// Raw blocks (used by the fused intersection below and by tests).
-    fn blocks(&self) -> &[u64] {
+    /// The packed 64-bit blocks, position `i` at bit `i % 64` of block
+    /// `i / 64`; bits past [`Bitmap::len`] in the last block are clear.
+    pub fn blocks(&self) -> &[u64] {
         &self.blocks
     }
 }

@@ -247,6 +247,80 @@ fn engines_agree_with_each_other_and_the_oracle_on_random_instances() {
     }
 }
 
+/// The engines on instances of 65–400 rows, whose bitmaps span two to
+/// seven 64-bit blocks (the sweep above stays within one), with `k`
+/// ranges that cross a block edge. The optimized engine on the single
+/// index counts fresh children with the batched kernel; a 2-shard
+/// optimized audit counts them one pattern at a time, and
+/// `Engine::Baseline` runs the per-`k` searches — all three must agree
+/// on every `k`. Single and sharded optimized runs build the same tree,
+/// so their work counters must be equal too.
+#[test]
+fn engines_agree_on_multi_block_instances() {
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    for case in 0..10 {
+        let rows = rng.random_range(65..=400usize);
+        let ds = random_dataset(
+            rng.random::<u64>() % 100_000,
+            RandomSpec {
+                rows,
+                attrs: rng.random_range(3..7usize),
+                max_card: rng.random_range(2..5usize),
+            },
+        );
+        let ranking = Ranking::from_order(random_ranking(rng.random::<u64>(), rows)).unwrap();
+        let ds = Arc::new(ds);
+        let build = |shards: usize| {
+            Audit::builder(Arc::clone(&ds))
+                .ranking(ranking.clone())
+                .shards(shards)
+                .build()
+                .unwrap()
+        };
+        let (single, sharded) = (build(1), build(2));
+        // A short range across a block edge; a quarter of the ranges end
+        // at k = n instead.
+        let (k_min, k_max) = if rng.random_range(0..4usize) == 0 {
+            (rows - rng.random_range(1..12usize), rows)
+        } else {
+            let edge = 64 * rng.random_range(1..=(rows - 1) / 64);
+            let k_max = (edge + rng.random_range(1..12usize)).min(rows);
+            (edge - rng.random_range(0..4usize), k_max)
+        };
+        let tau = [0, 1, rng.random_range(2..12usize)][rng.random_range(0..3usize)];
+        let cfg = DetectConfig::new(tau, k_min, k_max);
+        let lower = random_bounds(&mut rng, rows);
+        let upper = random_bounds(&mut rng, rows);
+        let alpha = [0.5, 0.8, 1.0, 1.5][rng.random_range(0..4usize)];
+        let tasks = [
+            AuditTask::UnderRep(BiasMeasure::GlobalLower(lower.clone())),
+            AuditTask::UnderRep(BiasMeasure::Proportional { alpha }),
+            AuditTask::OverRep {
+                upper: upper.clone(),
+                scope: OverRepScope::MostSpecific,
+            },
+            AuditTask::OverRep {
+                upper: upper.clone(),
+                scope: OverRepScope::MostGeneral,
+            },
+            AuditTask::Combined { lower, upper },
+        ];
+        for task in &tasks {
+            let label = format!("case {case}: rows={rows} tau={tau} k={k_min}..={k_max}, {task:?}");
+            let opt = single.run(&cfg, task, Engine::Optimized).unwrap();
+            let base = single.run(&cfg, task, Engine::Baseline).unwrap();
+            let shard = sharded.run(&cfg, task, Engine::Optimized).unwrap();
+            assert_eq!(opt.per_k, base.per_k, "{label}: optimized vs baseline");
+            assert_eq!(opt.per_k, shard.per_k, "{label}: single vs 2-shard");
+            assert_eq!(
+                (opt.stats.nodes_evaluated, opt.stats.nodes_touched),
+                (shard.stats.nodes_evaluated, shard.stats.nodes_touched),
+                "{label}: single vs 2-shard work counters"
+            );
+        }
+    }
+}
+
 /// The §III per-`k` searches of `upper` against brute force on random
 /// instances (tied scores included), with drawn `τs`, `k` range and
 /// bounds: at every `k` of the range, the per-`k` rescan
